@@ -25,7 +25,7 @@ from typing import Dict, IO, Iterable, List, Mapping, Sequence, Set, Tuple
 from .errors import ConfigError, EmptyDatasetError
 from .model import Folksonomy, fingerprint
 from .recommenders import RecommenderConfig, build_recommender
-from .similarity import SparseVector, cosine
+from .similarity import SparseVector, cosine, item_tag_vectors
 from .split import SplitResult, chronological_split
 
 K_MAX = 20
@@ -93,11 +93,8 @@ def diversity(recommended: Sequence[int], item_vectors: Mapping[int, SparseVecto
     if m < 2:
         return 0.0
     empty = SparseVector({})
-    distances = []
-    for a in range(m):
-        va = item_vectors.get(recommended[a], empty)
-        for b in range(a + 1, m):
-            distances.append(1.0 - cosine(va, item_vectors.get(recommended[b], empty)))
+    vectors = [item_vectors.get(item, empty) for item in recommended]
+    distances = [1.0 - cosine(vectors[a], vectors[b]) for a in range(m) for b in range(a + 1, m)]
     return math.fsum(distances) / (m * (m - 1) / 2)
 
 
@@ -178,14 +175,7 @@ def _evaluate_user(
 
 
 _WORKER_STATE: Dict[str, object] = {}
-
-
-def item_tag_vectors(train: Folksonomy) -> Dict[int, SparseVector]:
-    """Aggregated tag-count vector per item; the representation diversity compares."""
-    return {
-        item: SparseVector({t: float(c) for t, c in train.item_tag_counts(item).items()})
-        for item in train.items()
-    }
+_BATCHES_PER_WORKER = 16
 
 
 def _worker_init(train: Folksonomy, t_ref: Dict[int, int], config: RecommenderConfig) -> None:
@@ -221,15 +211,20 @@ def evaluate_algorithm(
             for user in test_users
         ]
     else:
-        batches: List[List[Tuple[int, Set[int]]]] = [[] for _ in range(workers)]
-        for position, user in enumerate(test_users):
-            batches[position % workers].append((user, split.test[user]))
+        # many small batches, handed to whichever worker is free: a worker
+        # that runs slower (costlier users, a busier CPU) takes fewer of them
+        # instead of holding up the others at the end
+        size = -(-len(test_users) // (workers * _BATCHES_PER_WORKER))
+        batches = [
+            [(user, split.test[user]) for user in test_users[start:start + size]]
+            for start in range(0, len(test_users), size)
+        ]
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
             initargs=(split.train, split.t_ref, config),
         ) as pool:
-            chunks = list(pool.map(_worker_eval, [b for b in batches if b]))
+            chunks = list(pool.map(_worker_eval, batches))
         merged = {result.user: result for chunk in chunks for result in chunk}
         results = [merged[user] for user in test_users]
     return _aggregate(config.algorithm, results, count_unserved)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .bll import BllParams, bll_item, build_bll_profile
@@ -35,8 +36,9 @@ from .similarity import (
     SparseVector,
     UserIndex,
     build_user_vectors,
-    cosine,
-    item_tagger_vector,
+    item_tag_vectors,
+    item_tagger_vectors,
+    summed_item_cosines,
 )
 
 ALGORITHMS = ("MP", "CF_B", "CF_T", "Z", "H", "CIRTT")
@@ -89,7 +91,15 @@ class Recommender:
         self.config = config
 
     def recommend(self, user: int, n: Optional[int] = None) -> RankedList:
+        """The user's top-n unseen items; n defaults to config.n and must be >= 1."""
         raise NotImplementedError
+
+    def _list_length(self, n: Optional[int]) -> int:
+        if n is None:
+            return self.config.n
+        if n < 1:
+            raise ConfigError(f"n must be >= 1, got {n}")
+        return n
 
 
 def _ranked(user: int, scored: List[Tuple[int, float]], n: int) -> RankedList:
@@ -104,12 +114,18 @@ class MostPopular(Recommender):
 
     def __init__(self, train: Folksonomy, config: RecommenderConfig) -> None:
         super().__init__(train, config)
-        self._counts = {item: float(len(train.posts_of_item(item))) for item in train.items()}
+        self._ranking = tuple(
+            sorted(
+                ((item, float(len(train.posts_of_item(item)))) for item in train.items()),
+                key=lambda entry: (-entry[1], entry[0]),
+            )
+        )
 
     def recommend(self, user: int, n: Optional[int] = None) -> RankedList:
+        n = self._list_length(n)
         owned = set(self.train.items_of_user(user))
-        scored = [(item, count) for item, count in self._counts.items() if item not in owned]
-        return _ranked(user, scored, n or self.config.n)
+        unseen = (entry for entry in self._ranking if entry[0] not in owned)
+        return RankedList(user=user, entries=tuple(islice(unseen, n)))
 
 
 class _NeighborhoodRecommender(Recommender):
@@ -147,12 +163,13 @@ class UserBasedCF(_NeighborhoodRecommender):
         self.tag = "CF_B" if profile_kind == BINARY_ITEM else "CF_T"
 
     def recommend(self, user: int, n: Optional[int] = None) -> RankedList:
+        n = self._list_length(n)
         _, contrib = self.candidates(user)
         scored = [
             (item, math.fsum(sim for _, sim in pairs))
             for item, pairs in sorted(contrib.items())
         ]
-        return _ranked(user, scored, n or self.config.n)
+        return _ranked(user, scored, n)
 
 
 class Cirtt(_NeighborhoodRecommender):
@@ -170,14 +187,14 @@ class Cirtt(_NeighborhoodRecommender):
     def __init__(self, train: Folksonomy, t_ref: Mapping[int, int], config: RecommenderConfig) -> None:
         super().__init__(train, config, build_user_vectors(train, BINARY_ITEM))
         self.t_ref = t_ref
-        self._item_vectors = {item: item_tagger_vector(train, item) for item in train.items()}
+        self.item_vectors = item_tagger_vectors(train)
 
     def item_similarity(self, user: int, item: int) -> float:
         """Summed cosine between the candidate's and the user's item columns."""
-        vec = self._item_vectors[item]
-        return math.fsum(cosine(vec, self._item_vectors[j]) for j in self.train.items_of_user(user))
+        return summed_item_cosines(self.item_vectors, self.train.items_of_user(user), (item,))[item]
 
     def recommend(self, user: int, n: Optional[int] = None) -> RankedList:
+        n = self._list_length(n)
         _, contrib = self.candidates(user)
         if not contrib:
             return RankedList(user=user, entries=())
@@ -185,17 +202,16 @@ class Cirtt(_NeighborhoodRecommender):
             profile = build_bll_profile(self.train, user, self.t_ref[user], self.config.bll)
         except (NoProfileError, KeyError):
             return RankedList(user=user, entries=())
+        sims = summed_item_cosines(self.item_vectors, self.train.items_of_user(user), sorted(contrib))
         scored = []
-        for item in sorted(contrib):
-            sim = self.item_similarity(user, item)
+        for item, sim in sims.items():
             activation = bll_item(profile, self.train.item_tags(item))
             scored.append((item, sim * activation, sim))
         scored.sort(key=lambda entry: (-entry[1], -entry[2], entry[0]))
-        top = scored[: (n or self.config.n)]
-        return RankedList(user=user, entries=tuple((item, pred) for item, pred, _ in top))
+        return RankedList(user=user, entries=tuple((item, pred) for item, pred, _ in scored[:n]))
 
 
-class ExpDecayCF(Recommender):
+class ExpDecayCF(_NeighborhoodRecommender):
     """Z-style CF: exponential recency decay applied before user similarity.
 
     The binary matrix is replaced by W[u][i] = (number of tags u put on i)
@@ -206,29 +222,26 @@ class ExpDecayCF(Recommender):
     tag = "Z"
 
     def __init__(self, train: Folksonomy, t_ref: Mapping[int, int], config: RecommenderConfig) -> None:
-        super().__init__(train, config)
         self._weights: Dict[int, Dict[int, float]] = {}
-        vectors = {}
         for user in train.users():
             reference = t_ref[user]
-            row = {
+            self._weights[user] = {
                 post.item: len(post.tag_times) * math.exp(-(reference - post.timestamp) / config.t0_seconds)
                 for post in train.posts_of_user(user)
             }
-            self._weights[user] = row
-            vectors[user] = SparseVector(row)
-        self._inner = _NeighborhoodRecommender(train, config, vectors)
+        super().__init__(train, config, {user: SparseVector(row) for user, row in self._weights.items()})
 
     def recommend(self, user: int, n: Optional[int] = None) -> RankedList:
-        _, contrib = self._inner.candidates(user)
+        n = self._list_length(n)
+        _, contrib = self.candidates(user)
         scored = [
             (item, math.fsum(sim * self._weights[neighbor][item] for neighbor, sim in pairs))
             for item, pairs in sorted(contrib.items())
         ]
-        return _ranked(user, scored, n or self.config.n)
+        return _ranked(user, scored, n)
 
 
-class LinearDecayTagCF(Recommender):
+class LinearDecayTagCF(_NeighborhoodRecommender):
     """H-style two-step CF over linearly time-weighted tag profiles.
 
     Each tag use is weighted by its position in the user's training window:
@@ -242,15 +255,12 @@ class LinearDecayTagCF(Recommender):
     tag = "H"
 
     def __init__(self, train: Folksonomy, t_ref: Mapping[int, int], config: RecommenderConfig) -> None:
-        super().__init__(train, config)
-        vectors = {}
-        for user in train.users():
-            vectors[user] = SparseVector(self._weighted_tag_profile(train, user, t_ref[user], config.floor))
-        self._inner = _NeighborhoodRecommender(train, config, vectors)
-        self._item_tag_vectors = {
-            item: SparseVector({t: float(c) for t, c in train.item_tag_counts(item).items()})
-            for item in train.items()
+        vectors = {
+            user: SparseVector(self._weighted_tag_profile(train, user, t_ref[user], config.floor))
+            for user in train.users()
         }
+        super().__init__(train, config, vectors)
+        self.item_vectors = item_tag_vectors(train)
 
     @staticmethod
     def _weighted_tag_profile(train: Folksonomy, user: int, reference: int, floor: float) -> Dict[int, float]:
@@ -271,13 +281,10 @@ class LinearDecayTagCF(Recommender):
         return profile
 
     def recommend(self, user: int, n: Optional[int] = None) -> RankedList:
-        _, contrib = self._inner.candidates(user)
-        scored = []
-        for item in sorted(contrib):
-            vec = self._item_tag_vectors[item]
-            score = math.fsum(cosine(vec, self._item_tag_vectors[j]) for j in self.train.items_of_user(user))
-            scored.append((item, score))
-        return _ranked(user, scored, n or self.config.n)
+        n = self._list_length(n)
+        _, contrib = self.candidates(user)
+        scores = summed_item_cosines(self.item_vectors, self.train.items_of_user(user), sorted(contrib))
+        return _ranked(user, list(scores.items()), n)
 
 
 def build_recommender(
@@ -300,21 +307,3 @@ def build_recommender(
     if tag == "CIRTT":
         return Cirtt(train, t_ref, config)
     raise ConfigError(f"unknown algorithm tag {tag!r}")
-
-
-# One-shot conveniences mirroring the batch classes.
-
-def recommend_mp(train: Folksonomy, user: int, n: int = 20) -> RankedList:
-    return MostPopular(train, RecommenderConfig("MP", n=n)).recommend(user)
-
-def recommend_cf(train: Folksonomy, user: int, n: int = 20, profile_kind: str = BINARY_ITEM, k: int = 20) -> RankedList:
-    return UserBasedCF(train, RecommenderConfig("CF_B", k=k, n=n), profile_kind).recommend(user)
-
-def recommend_cirtt(train: Folksonomy, t_ref: Mapping[int, int], user: int, n: int = 20, config: Optional[RecommenderConfig] = None) -> RankedList:
-    return Cirtt(train, t_ref, config or RecommenderConfig("CIRTT", n=n)).recommend(user, n)
-
-def recommend_zheng(train: Folksonomy, t_ref: Mapping[int, int], user: int, n: int = 20, config: Optional[RecommenderConfig] = None) -> RankedList:
-    return ExpDecayCF(train, t_ref, config or RecommenderConfig("Z", n=n)).recommend(user, n)
-
-def recommend_huang(train: Folksonomy, t_ref: Mapping[int, int], user: int, n: int = 20, config: Optional[RecommenderConfig] = None) -> RankedList:
-    return LinearDecayTagCF(train, t_ref, config or RecommenderConfig("H", n=n)).recommend(user, n)

@@ -1,4 +1,4 @@
-"""Sparse vectors, cosine similarity and top-k user neighborhoods.
+"""Sparse vectors, cosine similarity, top-k user neighborhoods and item-item sums.
 
 All user profiles (binary item rows, tag-frequency profiles, time-weighted
 variants) are non-negative sparse vectors, so every cosine lands in [0, 1].
@@ -7,15 +7,26 @@ only users co-occurring with the target on at least one dimension are
 touched, which is also exactly the set with nonzero similarity. The
 brute-force all-pairs scan lives in the test suite as the oracle.
 
+Item-item similarity has one home here. Each training folksonomy's item
+vectors (binary tagger columns and tag-count vectors) are built once and
+shared by every consumer, and ``summed_item_cosines`` scores a user's
+candidates against the user's own items through one inverted index per
+user. Item vectors carry integer weights, so every product and partial dot
+product is an exact integer in a float: item-item cosines are exact and do
+not depend on the order their terms are added in.
+
 Float sums use math.fsum throughout, so results do not depend on the order
 contributions happen to arrive in.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple, Union
 
 from .errors import NoProfileError
 from .model import Folksonomy
@@ -49,32 +60,33 @@ class SparseVector:
         return zip(self.ids, self.weights)
 
     def get(self, ident: int, default: float = 0.0) -> float:
-        lo, hi = 0, len(self.ids)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.ids[mid] < ident:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.ids) and self.ids[lo] == ident:
-            return self.weights[lo]
+        pos = bisect.bisect_left(self.ids, ident)
+        if pos < len(self.ids) and self.ids[pos] == ident:
+            return self.weights[pos]
         return default
 
     def dot(self, other: "SparseVector") -> float:
-        a, b = self, other
-        if len(a) > len(b):
-            a, b = b, a
+        """Merge join over the two sorted id tuples; math.fsum of the shared-id products."""
+        a_ids, a_weights, b_ids, b_weights = self.ids, self.weights, other.ids, other.weights
+        a_len, b_len = len(a_ids), len(b_ids)
+        x = y = 0
         terms = []
-        for i, w in a.items():
-            ow = b.get(i)
-            if ow:
-                terms.append(w * ow)
+        while x < a_len and y < b_len:
+            a_id, b_id = a_ids[x], b_ids[y]
+            if a_id == b_id:
+                terms.append(a_weights[x] * b_weights[y])
+                x += 1
+                y += 1
+            elif a_id < b_id:
+                x += 1
+            else:
+                y += 1
         return math.fsum(terms)
 
 
 def cosine(a: SparseVector, b: SparseVector) -> float:
     """Cosine of two non-negative sparse vectors; 0.0 when either is empty."""
-    if len(a) == 0 or len(b) == 0:
+    if not a.ids or not b.ids:
         return 0.0
     value = a.dot(b) / (a.norm * b.norm)
     return max(0.0, min(1.0, value))
@@ -99,6 +111,73 @@ def tag_profile_vector(train: Folksonomy, user: int) -> SparseVector:
 def item_tagger_vector(train: Folksonomy, item: int) -> SparseVector:
     """Column of the binary matrix: weight 1.0 per user who bookmarked the item."""
     return SparseVector({u: 1.0 for u in train.taggers_of_item(item)})
+
+def item_tag_vector(train: Folksonomy, item: int) -> SparseVector:
+    """Aggregated tag counts: weight = number of posts on the item carrying the tag."""
+    return SparseVector({t: float(c) for t, c in train.item_tag_counts(item).items()})
+
+
+# A folksonomy never changes after construction, so its item vectors are a
+# pure function of it. They are memoised per folksonomy object, held only as
+# long as the folksonomy itself, and handed out read-only.
+_ITEM_VECTORS: "weakref.WeakKeyDictionary[Folksonomy, Dict[Callable, Mapping[int, SparseVector]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _item_vectors(train: Folksonomy, build: Callable[[Folksonomy, int], SparseVector]) -> Mapping[int, SparseVector]:
+    per_train = _ITEM_VECTORS.setdefault(train, {})
+    vectors = per_train.get(build)
+    if vectors is None:
+        vectors = MappingProxyType({item: build(train, item) for item in train.items()})
+        per_train[build] = vectors
+    return vectors
+
+
+def item_tag_vectors(train: Folksonomy) -> Mapping[int, SparseVector]:
+    """Tag-count vector per item, built once per folksonomy: what H ranks by and diversity compares."""
+    return _item_vectors(train, item_tag_vector)
+
+
+def item_tagger_vectors(train: Folksonomy) -> Mapping[int, SparseVector]:
+    """Binary tagger column per item, built once per folksonomy: what CIRTT ranks by."""
+    return _item_vectors(train, item_tagger_vector)
+
+
+def summed_item_cosines(
+    vectors: Mapping[int, SparseVector],
+    owned: Iterable[int],
+    candidates: Iterable[int],
+) -> Dict[int, float]:
+    """Per candidate, math.fsum of its cosines to every (distinct) owned item.
+
+    Equal bit for bit to ``math.fsum(cosine(vectors[c], vectors[j]) for j in
+    owned)``, provided every weight is an integer (item tagger columns and
+    tag-count vectors; never the decayed user profiles): each product and
+    each partial dot product is then an exact integer in a float (far below
+    2**53), so the plain accumulation below equals ``dot``'s fsum. Norms,
+    the division and the [0, 1] clamp are those of ``cosine``; an owned item
+    sharing no dimension with the candidate adds an exact 0.0 and is skipped.
+
+    One inverted index over the owned items' dimensions serves every
+    candidate.
+    """
+    postings: Dict[int, List[Tuple[int, float]]] = {}
+    norms: Dict[int, float] = {}
+    for j in owned:
+        vec = vectors[j]
+        norms[j] = vec.norm
+        for dim, w in vec.items():
+            postings.setdefault(dim, []).append((j, w))
+    sums: Dict[int, float] = {}
+    for item in candidates:
+        vec = vectors[item]
+        dots: Dict[int, float] = {}
+        for dim, w in vec.items():
+            for j, ow in postings.get(dim, ()):
+                dots[j] = dots.get(j, 0.0) + w * ow
+        sums[item] = math.fsum(max(0.0, min(1.0, dot / (vec.norm * norms[j]))) for j, dot in dots.items())
+    return sums
 
 
 class UserIndex:

@@ -174,6 +174,13 @@ def test_recommend_unknown_user_is_config_error(workdir, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_recommend_nonpositive_n_is_config_error(workdir, capsys, n):
+    code = run_cli("recommend", "--config", workdir / "mini_config.yaml", "--user", "u01", "--n", n)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")

@@ -21,8 +21,8 @@ from folkrec.evaluation import (
     write_reports,
 )
 from folkrec.ingest import DatasetSpec, run_pipeline
-from folkrec.recommenders import RecommenderConfig
-from folkrec.similarity import SparseVector
+from folkrec.recommenders import RecommenderConfig, build_recommender
+from folkrec.similarity import SparseVector, item_tagger_vectors
 from folkrec.split import chronological_split
 
 from conftest import random_folksonomy
@@ -274,3 +274,19 @@ def test_item_tag_vectors_use_tag_counts():
     assert dict(vectors[item].items()) == {
         t: float(c) for t, c in split.train.item_tag_counts(item).items()
     }
+
+
+def test_h_cirtt_and_diversity_share_item_vectors(monkeypatch):
+    from folkrec import evaluation
+
+    _, split = _mini_split()
+    seen = []
+    real = evaluation.diversity
+    monkeypatch.setattr(evaluation, "diversity", lambda items, vectors: seen.append(vectors) or real(items, vectors))
+    evaluate_algorithm(split, RecommenderConfig("MP"))
+    h = build_recommender(split.train, split.t_ref, RecommenderConfig("H"))
+    cirtt = build_recommender(split.train, split.t_ref, RecommenderConfig("CIRTT"))
+    again = build_recommender(split.train, split.t_ref, RecommenderConfig("CIRTT", k=3))
+    assert seen and all(vectors is h.item_vectors for vectors in seen)
+    assert h.item_vectors is item_tag_vectors(split.train)
+    assert cirtt.item_vectors is again.item_vectors is item_tagger_vectors(split.train)

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folkrec.errors import ConfigError
 from folkrec.recommenders import (
@@ -306,3 +308,24 @@ def test_split_then_recommend_smoke():
         recommender = build_recommender(split.train, split.t_ref, RecommenderConfig(tag))
         served = sum(1 for u in split.test if recommender.recommend(u).entries)
         assert served > 0
+
+
+N_FOLKSONOMY = random_folksonomy(4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tag=st.sampled_from(ALGORITHMS),
+    n=st.one_of(st.none(), st.integers(min_value=-3, max_value=60)),
+    config_n=st.integers(min_value=1, max_value=30),
+)
+def test_list_length_is_n_or_config_n(tag, n, config_n):
+    f = N_FOLKSONOMY
+    recommender = build_recommender(f, make_t_ref(f), RecommenderConfig(tag, n=config_n))
+    for user in f.users()[:5] + [10_000]:
+        if n is not None and n < 1:
+            with pytest.raises(ConfigError):
+                recommender.recommend(user, n)
+            continue
+        full = recommender.recommend(user, 10_000).entries
+        assert recommender.recommend(user, n).entries == full[: config_n if n is None else n]

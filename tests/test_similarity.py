@@ -16,7 +16,10 @@ from folkrec.similarity import (
     binary_item_vector,
     build_user_vectors,
     cosine,
+    item_tag_vectors,
     item_tagger_vector,
+    item_tagger_vectors,
+    summed_item_cosines,
     tag_profile_vector,
     top_k_neighbors,
 )
@@ -216,3 +219,77 @@ def test_item_tagger_oracle_agreement(small_folksonomy):
     for item in f.items():
         v = item_tagger_vector(f, item)
         assert dict(v.items()) == o_item_taggers(f, item)
+
+
+def binary_search_dot(a, b):
+    """Reference dot product: each id of the shorter vector binary-searched in the longer one."""
+    if len(a) > len(b):
+        a, b = b, a
+    terms = []
+    for ident, w in a.items():
+        lo, hi = 0, len(b.ids)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if b.ids[mid] < ident:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo < len(b.ids) and b.ids[lo] == ident:
+            terms.append(w * b.weights[lo])
+    return math.fsum(terms)
+
+
+@given(finite_weights, finite_weights)
+def test_dot_equals_binary_search_reference(wa, wb):
+    a, b = SparseVector(wa), SparseVector(wb)
+    assert a.dot(b) == binary_search_dot(a, b)
+    assert b.dot(a) == binary_search_dot(a, b)
+
+
+integer_vectors = st.dictionaries(
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=1, max_value=40).map(float),
+    max_size=8,
+)
+
+
+@given(
+    st.lists(integer_vectors, min_size=1, max_size=10),
+    st.lists(st.integers(min_value=0, max_value=9), max_size=6, unique=True),
+    st.lists(st.integers(min_value=0, max_value=9), max_size=6, unique=True),
+)
+def test_summed_item_cosines_equal_fsum_of_cosines(weights, owned, candidates):
+    # items n..2n-1 are binary copies of items 0..n-1, so equal supports come
+    # up; item 2n overlaps no other item and item 2n+1 is empty
+    n = len(weights)
+    vectors = {i: SparseVector(w) for i, w in enumerate(weights)}
+    vectors.update({n + i: SparseVector({d: 1.0 for d in w}) for i, w in enumerate(weights)})
+    vectors[2 * n] = SparseVector({99: 3.0})
+    vectors[2 * n + 1] = SparseVector({})
+    ids = sorted(vectors)
+    owned = sorted({ids[j % len(ids)] for j in owned})
+    candidates = sorted({ids[c % len(ids)] for c in candidates} | {n, 2 * n, 2 * n + 1})
+    got = summed_item_cosines(vectors, owned, candidates)
+    assert list(got) == candidates
+    for c in candidates:
+        assert got[c] == math.fsum(cosine(vectors[c], vectors[j]) for j in owned)
+
+
+def test_summed_item_cosines_clamp_identical_tagger_sets():
+    # sqrt(3) * sqrt(3) < 3, so equal 3-user columns have an unclamped cosine above 1
+    vectors = {i: SparseVector({u: 1.0 for u in range(3)}) for i in range(3)}
+    assert 3.0 / (vectors[0].norm * vectors[1].norm) > 1.0
+    assert summed_item_cosines(vectors, [0, 1], [2]) == {2: 2.0}
+
+
+def test_item_vectors_are_built_once_per_folksonomy(small_folksonomy):
+    f = small_folksonomy
+    assert item_tagger_vectors(f) is item_tagger_vectors(f)
+    copy = folksonomy_from_rows(
+        (f.vocab.users.label_of(p.user), f.vocab.items.label_of(p.item), f.vocab.tags.label_of(t), ts)
+        for p in f.posts
+        for t, ts in p.tag_times
+    )
+    assert item_tag_vectors(copy) is not item_tag_vectors(f)
+    with pytest.raises(TypeError):
+        item_tag_vectors(f)[f.items()[0]] = SparseVector({})
