@@ -18,7 +18,6 @@ from .evaluation import (
     ndcg_at_k,
     recall_at_k,
     run_experiment,
-    user_coverage,
     write_reports,
 )
 from .ingest import DatasetSpec, load_snapshot, run_pipeline, write_snapshot
@@ -34,8 +33,8 @@ from .recommenders import (
     UserBasedCF,
     build_recommender,
 )
-from .similarity import Neighborhood, SparseVector, cosine, top_k_neighbors
-from .split import SplitResult, chronological_split
+from .similarity import Neighborhood, SparseVector, cosine
+from .split import SplitResult, chronological_split, reference_times
 from .synth import SynthConfig, generate
 
 __version__ = "0.1.0"
@@ -85,10 +84,9 @@ __all__ = [
     "ndcg_at_k",
     "normalize_profile",
     "recall_at_k",
+    "reference_times",
     "run_experiment",
     "run_pipeline",
-    "top_k_neighbors",
-    "user_coverage",
     "write_reports",
     "write_snapshot",
     "__version__",

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Sequence
 
-from .errors import NoProfileError
+from .errors import ConfigError, NoProfileError
 from .model import Folksonomy
 
 
@@ -26,7 +26,7 @@ class BllParams:
 
     def __post_init__(self) -> None:
         if not self.d > 0.0:
-            raise ValueError(f"decay exponent must be positive, got {self.d}")
+            raise ConfigError(f"decay exponent must be positive, got {self.d}")
 
 
 def bll_raw(use_timestamps: Sequence[int], t_ref: int, d: float) -> float:

@@ -26,7 +26,7 @@ from .evaluation import K_MAX, run_experiment, write_reports
 from .ingest import DatasetSpec, load_snapshot, run_pipeline, write_snapshot
 from .model import Folksonomy
 from .recommenders import ALGORITHMS, RecommenderConfig, build_recommender
-from .split import chronological_split, write_split
+from .split import chronological_split, reference_times, write_split
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,14 +52,16 @@ class RunConfig:
         self.snapshot = self._path(raw.get("snapshot"))
         if self.dataset is None and self.snapshot is None:
             raise ConfigError("config needs a 'dataset' section or a 'snapshot' path")
-        self.split_fraction = float(raw.get("split_fraction", 0.2))
+        self.split_fraction = _number(raw, "split_fraction", 0.2)
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
-        self.seed = int(raw.get("seed", 0))
-        self.workers = int(raw.get("workers", 1))
+        self.seed = _number(raw, "seed", 0, int)
+        self.workers = _number(raw, "workers", 1, int)
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        self.count_unserved = bool(raw.get("count_unserved", True))
+        self.count_unserved = raw.get("count_unserved", True)
+        if not isinstance(self.count_unserved, bool):
+            raise ConfigError(f"count_unserved must be true or false, got {self.count_unserved!r}")
         self.out_dir = self._path(raw.get("out_dir")) or os.path.join(base_dir, "out")
         self.algorithms = self._algorithms(raw.get("algorithms"))
 
@@ -85,8 +87,8 @@ class RunConfig:
             "columns": tuple(int(c) for c in raw.get("columns", (0, 1, 2, 3))),
             "delimiter": str(raw.get("delimiter", "\t")),
             "timestamp_format": str(raw.get("timestamp_format", "epoch")),
-            "sample_fraction": float(raw.get("sample_fraction", 1.0)),
-            "seed": int(raw.get("seed", 0)),
+            "sample_fraction": _number(raw, "sample_fraction", 1.0),
+            "seed": _number(raw, "seed", 0, int),
         }
         if "blacklist" in raw:
             kwargs["blacklist"] = tuple(str(p) for p in raw["blacklist"] or ())
@@ -110,17 +112,28 @@ class RunConfig:
                 raise ConfigError("algorithm entry needs an 'algorithm' tag")
             kwargs = {
                 "algorithm": str(entry["algorithm"]).upper(),
-                "k": int(entry.get("k", 20)),
-                "n": int(entry.get("n", 20)),
+                "k": _number(entry, "k", 20, int),
+                "n": _number(entry, "n", 20, int),
             }
             if "d" in entry:
-                kwargs["bll"] = BllParams(d=float(entry["d"]))
+                kwargs["bll"] = BllParams(d=_number(entry, "d", 0.0))
             if "t0_seconds" in entry:
-                kwargs["t0_seconds"] = float(entry["t0_seconds"])
+                kwargs["t0_seconds"] = _number(entry, "t0_seconds", 0.0)
             if "floor" in entry:
-                kwargs["floor"] = float(entry["floor"])
+                kwargs["floor"] = _number(entry, "floor", 0.0)
             configs.append(RecommenderConfig(**kwargs))
         return configs
+
+
+def _number(raw: Dict[str, object], key: str, default: float, kind: type = float) -> int | float:
+    """``raw[key]`` as ``kind``: YAML ints, or floats too when ``kind`` is float; never bools or strings."""
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        raise ConfigError(f"{key} must be {'a number' if kind is float else 'an integer'}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ConfigError(f"{key} is out of range: {value!r}") from None
 
 
 def load_config(path: str) -> RunConfig:
@@ -239,12 +252,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     if args.user not in vocab.users:
         raise ConfigError(f"unknown user label {args.user!r}")
     user = vocab.users.id_of(args.user)
-    # production mode trains on everything; each reference time sits one
-    # second past the user's newest assignment
-    t_ref = {}
-    for u in folksonomy.users():
-        t_ref[u] = max(ts for post in folksonomy.posts_of_user(u) for _, ts in post.tag_times) + 1
-    recommender = build_recommender(folksonomy, t_ref, algo_config)
+    # production mode trains on everything, so t_ref comes from the whole folksonomy
+    recommender = build_recommender(folksonomy, reference_times(folksonomy), algo_config)
     ranked = recommender.recommend(user, args.n)
     for rank, (item, score) in enumerate(ranked.entries, start=1):
         print(f"{args.user}\t{vocab.items.label_of(item)}\t{rank}\t{score:.6f}")

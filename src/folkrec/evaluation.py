@@ -20,7 +20,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, IO, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, IO, List, Mapping, Sequence, Set, Tuple
 
 from .errors import ConfigError, EmptyDatasetError
 from .model import Folksonomy, fingerprint
@@ -72,15 +72,6 @@ def recall_at_k(recommended: Sequence[int], relevant: Set[int], k: int) -> float
         return 0.0
     hit_count = sum(1 for item in recommended[:k] if item in relevant)
     return hit_count / len(relevant)
-
-
-def user_coverage(results: Mapping[int, Sequence[int]], evaluable_users: Iterable[int]) -> float:
-    """Fraction of evaluable users who received at least one recommendation."""
-    users = sorted(set(evaluable_users))
-    if not users:
-        return 0.0
-    served = sum(1 for user in users if results.get(user))
-    return served / len(users)
 
 
 def diversity(recommended: Sequence[int], item_vectors: Mapping[int, SparseVector]) -> float:

@@ -3,7 +3,8 @@
 Input format: delimited text (TAB by default), one assignment per row as
 ``user item tag timestamp``, UTF-8, ``#``-prefixed comment lines ignored.
 The preprocessing pipeline runs in a fixed order: parse, blacklist filter,
-build, user sampling, unique-resource removal.
+build, user sampling, unique-resource removal. Only the build groups tag
+assignments into posts; the two filters after it keep or drop whole posts.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 from typing import List, Sequence, Tuple
 
 from .errors import ConfigError, EmptyDatasetError, FormatError
-from .model import Folksonomy, TagAssignment, Vocab, build_folksonomy
+from .model import Folksonomy, TagAssignment, Vocab, _label_rows, build_folksonomy
 
 # Tags auto-generated by import tooling rather than chosen by a person.
 DEFAULT_BLACKLIST = ("bibtex-import",)
@@ -146,8 +147,7 @@ def sample_users(folksonomy: Folksonomy, fraction: float, seed: int) -> Folksono
     keep = math.ceil(round(fraction * len(users), 9))
     rng = random.Random(seed)
     kept = set(rng.sample(users, keep))
-    assignments = [a for a in folksonomy.assignments() if a.user in kept]
-    return build_folksonomy(assignments, folksonomy.vocab)
+    return Folksonomy([p for p in folksonomy.posts if p.user in kept], folksonomy.vocab)
 
 
 def remove_unique_resources(folksonomy: Folksonomy) -> Folksonomy:
@@ -157,11 +157,10 @@ def remove_unique_resources(folksonomy: Folksonomy) -> Folksonomy:
     one stay in, and items whose tagger count drops to one because of user
     sampling upstream are judged on the counts seen here, once.
     """
-    unique = {i for i in folksonomy.items() if len(folksonomy.posts_of_item(i)) == 1}
-    assignments = [a for a in folksonomy.assignments() if a.item not in unique]
-    if not assignments:
+    posts = [p for p in folksonomy.posts if len(folksonomy.posts_of_item(p.item)) > 1]
+    if not posts:
         raise EmptyDatasetError("no items with more than one tagger; nothing left after filtering")
-    return build_folksonomy(assignments, folksonomy.vocab)
+    return Folksonomy(posts, folksonomy.vocab)
 
 
 def run_pipeline(spec: DatasetSpec) -> Tuple[Folksonomy, ParseResult]:
@@ -182,19 +181,11 @@ def write_snapshot(folksonomy: Folksonomy, path: str | Path) -> None:
     The snapshot re-parses with the default DatasetSpec column mapping, so
     downstream stages load it with :func:`load_snapshot`.
     """
-    vocab = folksonomy.vocab
-    rows = []
-    for post in folksonomy.posts:
-        user = vocab.users.label_of(post.user)
-        item = vocab.items.label_of(post.item)
-        for tag, ts in post.tag_times:
-            rows.append(f"{user}\t{item}\t{vocab.tags.label_of(tag)}\t{ts}")
-    rows.sort()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# folkrec snapshot v1\n")
         fh.write(f"# fingerprint={folksonomy.fingerprint()}\n")
         fh.write(f"# {folksonomy.stats().line()}\n")
-        for row in rows:
+        for row in _label_rows(folksonomy):
             fh.write(row + "\n")
 
 

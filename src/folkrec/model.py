@@ -113,8 +113,11 @@ class Stats:
 class Folksonomy:
     """Immutable, indexed store of posts.
 
-    Construct via :func:`build_folksonomy`. Safe for concurrent reads; never
-    mutated after construction.
+    ``posts`` must hold at most one post per (user, item) and be sorted by
+    (user, item), as :func:`build_folksonomy` leaves them; the per-user
+    accessors rely on that order, and so do the filters that keep a subset
+    of another folksonomy's posts. Safe for concurrent reads; never mutated
+    after construction.
     """
 
     def __init__(self, posts: Sequence[Post], vocab: Vocab) -> None:
@@ -216,16 +219,21 @@ class Folksonomy:
         data (even with rows shuffled, which permutes interned ids) agree.
         """
         if self._fingerprint is None:
-            rows = []
-            for post in self.posts:
-                user = self.vocab.users.label_of(post.user)
-                item = self.vocab.items.label_of(post.item)
-                for tag, ts in post.tag_times:
-                    rows.append(f"{user}\t{item}\t{self.vocab.tags.label_of(tag)}\t{ts}")
-            rows.sort()
-            digest = hashlib.sha256("\n".join(rows).encode("utf-8")).hexdigest()
-            self._fingerprint = digest
+            self._fingerprint = hashlib.sha256("\n".join(_label_rows(self)).encode("utf-8")).hexdigest()
         return self._fingerprint
+
+
+def _label_rows(folksonomy: Folksonomy) -> List[str]:
+    """Sorted ``user\titem\ttag\tts`` label rows: the snapshot body and the fingerprint input."""
+    vocab = folksonomy.vocab
+    rows = []
+    for post in folksonomy.posts:
+        user = vocab.users.label_of(post.user)
+        item = vocab.items.label_of(post.item)
+        for tag, ts in post.tag_times:
+            rows.append(f"{user}\t{item}\t{vocab.tags.label_of(tag)}\t{ts}")
+    rows.sort()
+    return rows
 
 
 def build_folksonomy(assignments: Iterable[TagAssignment], vocab: Vocab) -> Folksonomy:

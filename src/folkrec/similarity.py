@@ -234,7 +234,3 @@ def build_user_vectors(train: Folksonomy, profile_kind: str) -> Dict[int, Sparse
         return {u: tag_profile_vector(train, u) for u in train.users()}
     raise ValueError(f"unknown profile kind: {profile_kind!r}")
 
-
-def top_k_neighbors(train: Folksonomy, user: int, k: int, profile_kind: str = BINARY_ITEM) -> Neighborhood:
-    """One-shot neighborhood query; batch callers should build a UserIndex once."""
-    return UserIndex(build_user_vectors(train, profile_kind)).top_k(user, k)

@@ -14,7 +14,7 @@ from typing import Dict, FrozenSet
 
 from .errors import EmptyDatasetError
 from .ingest import write_snapshot
-from .model import Folksonomy, TagAssignment, build_folksonomy
+from .model import Folksonomy
 
 
 @dataclass
@@ -31,6 +31,18 @@ class SplitResult:
     t_ref: Dict[int, int]
 
 
+def reference_times(folksonomy: Folksonomy) -> Dict[int, int]:
+    """user -> one second past the user's latest tag use, in ascending user order.
+
+    Over assignment times, not post times: a post carries its earliest time,
+    and recencies must stay strictly positive for every tag use.
+    """
+    return {
+        user: max(ts for post in folksonomy.posts_of_user(user) for _, ts in post.tag_times) + 1
+        for user in folksonomy.users()
+    }
+
+
 def chronological_split(folksonomy: Folksonomy, test_fraction: float = 0.2) -> SplitResult:
     """Hold out each user's most recent bookmarks.
 
@@ -38,32 +50,23 @@ def chronological_split(folksonomy: Folksonomy, test_fraction: float = 0.2) -> S
     most recent posts to the test set; a user with a single post goes to
     train only, since an empty training profile makes every personalized
     algorithm undefined. Timestamp ties break by item id ascending (the
-    smaller id counts as older).
+    smaller id counts as older). Train keeps the remaining posts whole and
+    in their (user, item) order.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    train_assignments = []
     test: Dict[int, FrozenSet[int]] = {}
-    t_ref: Dict[int, int] = {}
     for user in folksonomy.users():
         posts = sorted(folksonomy.posts_of_user(user), key=lambda p: (p.timestamp, p.item))
         n = len(posts)
-        n_test = max(1, math.floor(round(test_fraction * n, 9))) if n >= 2 else 0
-        train_posts = posts[: n - n_test]
-        if n_test:
+        if n >= 2:
+            n_test = max(1, math.floor(round(test_fraction * n, 9)))
             test[user] = frozenset(p.item for p in posts[n - n_test :])
-        last_use = 0
-        for post in train_posts:
-            for tag, ts in post.tag_times:
-                train_assignments.append(TagAssignment(user, post.item, tag, ts))
-                last_use = max(last_use, ts)
-        # over assignment times, not post times: a post carries its earliest
-        # time, and recencies must stay strictly positive for every tag use
-        t_ref[user] = last_use + 1
-    if not train_assignments:
+    train_posts = [p for p in folksonomy.posts if p.item not in test.get(p.user, ())]
+    if not train_posts:
         raise EmptyDatasetError("no training posts after splitting")
-    train = build_folksonomy(train_assignments, folksonomy.vocab)
-    return SplitResult(train=train, test=test, t_ref=t_ref)
+    train = Folksonomy(train_posts, folksonomy.vocab)
+    return SplitResult(train=train, test=test, t_ref=reference_times(train))
 
 
 def write_split(split: SplitResult, out_dir: str | Path) -> None:

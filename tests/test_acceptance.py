@@ -27,20 +27,13 @@ from folkrec.evaluation import (
 from folkrec.ingest import DatasetSpec, run_pipeline
 from folkrec.recommenders import ALGORITHMS, RecommenderConfig, build_recommender
 from folkrec.similarity import SparseVector
-from folkrec.split import chronological_split
+from folkrec.split import chronological_split, reference_times
 from folkrec.synth import SynthConfig, generate
 
 from conftest import random_folksonomy
 from oracles import o_cf, o_cirtt, o_huang, o_mp, o_zheng
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-
-
-def _t_ref(f):
-    return {
-        u: max(ts for p in f.posts_of_user(u) for _, ts in p.tag_times) + 1
-        for u in f.users()
-    }
 
 
 def test_criterion_1_all_algorithms_match_brute_force_oracles():
@@ -58,7 +51,7 @@ def test_criterion_1_all_algorithms_match_brute_force_oracles():
             n_tags=rng.randint(6, 20),
             n_posts=rng.randint(60, 220),
         )
-        t_ref = _t_ref(f)
+        t_ref = reference_times(f)
         k, n = rng.choice([(5, 10), (20, 20), (3, 20)])
         oracle_by_tag = {
             "MP": lambda u, c: o_mp(f, u, c.n),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folkrec.bll import BllParams, bll_item, bll_raw, build_bll_profile, normalize_profile
-from folkrec.errors import NoProfileError
+from folkrec.errors import ConfigError, NoProfileError
 
 from conftest import folksonomy_from_rows
 
@@ -60,9 +60,9 @@ def test_preconditions():
         bll_raw([], 100, 0.5)
     with pytest.raises(ValueError):
         bll_raw([100], 100, 0.5)  # recency would be zero
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         BllParams(d=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         BllParams(d=-1.0)
 
 

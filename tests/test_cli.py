@@ -81,6 +81,25 @@ def test_unknown_config_key_is_config_error(workdir, capsys):
     assert run_cli("run", "--config", workdir / "mini_config.yaml") == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "line,mistake",
+    [
+        ("    d: 0.5", "    d: 0"),
+        ("split_fraction: 0.2", "split_fraction: abc"),
+        ("count_unserved: true", 'count_unserved: "false"'),
+        ("split_fraction: 0.2", "split_fraction: 1" + "0" * 400),
+    ],
+)
+def test_bad_config_value_is_config_error(workdir, capsys, line, mistake):
+    config = (workdir / "mini_config.yaml").read_text()
+    assert line in config
+    (workdir / "mini_config.yaml").write_text(config.replace(line, mistake))
+    code = run_cli("run", "--config", workdir / "mini_config.yaml")
+    assert code == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 def test_run_writes_all_three_reports(workdir, capsys):
     code = run_cli("run", "--config", workdir / "mini_config.yaml")
     assert code == EXIT_OK

@@ -17,7 +17,6 @@ from folkrec.evaluation import (
     ndcg_at_k,
     recall_at_k,
     run_experiment,
-    user_coverage,
     write_reports,
 )
 from folkrec.ingest import DatasetSpec, run_pipeline
@@ -103,13 +102,6 @@ def test_metrics_bounded_and_recall_monotone(ranking, relevant, k):
         assert 0.0 <= value <= 1.0
     if k > 1:
         assert recall_at_k(ranking, relevant, k) >= recall_at_k(ranking, relevant, k - 1)
-
-
-def test_user_coverage_examples():
-    results = {1: [10], 2: [11], 3: [], 4: [12]}
-    assert user_coverage(results, [1, 2, 3, 4]) == pytest.approx(0.75)
-    assert user_coverage({1: [10]}, [1]) == pytest.approx(1.0)
-    assert user_coverage({}, []) == 0.0
 
 
 def _mini_split():

@@ -1,8 +1,11 @@
 """Parsing, tag blacklisting, user sampling, unique-resource removal, snapshots."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folkrec.errors import ConfigError, EmptyDatasetError, FormatError
 from folkrec.ingest import (
@@ -16,9 +19,10 @@ from folkrec.ingest import (
     sample_users,
     write_snapshot,
 )
-from folkrec.model import fingerprint
+from folkrec.model import build_folksonomy, fingerprint
+from folkrec.split import chronological_split
 
-from conftest import folksonomy_from_rows, random_folksonomy
+from conftest import folksonomy_from_rows, random_folksonomy, random_rows
 
 
 def write_rows(path, rows):
@@ -282,3 +286,67 @@ def test_snapshot_round_trip(tmp_path, small_folksonomy):
 def test_missing_file_raises_oserror():
     with pytest.raises(OSError):
         parse(DatasetSpec(path="/nonexistent/nope.tsv"))
+
+
+def _regrouped(folksonomy, keep):
+    """Reference for the post filters: flatten to tag assignments, keep, group again."""
+    return build_folksonomy([a for a in folksonomy.assignments() if keep(a)], folksonomy.vocab)
+
+
+def _assert_same_posts(got, reference):
+    assert got.posts == reference.posts
+    assert got.stats() == reference.stats()
+    for user in got.users():
+        items = got.items_of_user(user)
+        assert list(items) == sorted(set(items))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    sample_fraction=st.floats(min_value=0.05, max_value=1.0),
+    test_fraction=st.floats(min_value=0.05, max_value=0.95),
+    t_hi=st.sampled_from([1_010, 2_000_000]),
+)
+@settings(max_examples=60, deadline=None)
+def test_post_filters_equal_regrouping_their_kept_assignments(seed, sample_fraction, test_fraction, t_hi):
+    # random_folksonomy's log, but the tags of one post land at different
+    # times and some rows repeat, so grouping has earliest times to pick;
+    # the narrow time range makes post-time ties common
+    rng = random.Random(seed)
+    rows = []
+    for user, item, tag, ts in random_rows(rng, 30, 40, 15, 150, t_hi=t_hi):
+        rows.append((user, item, tag, ts + rng.randint(0, 20)))
+        if rng.random() < 0.2:
+            rows.append((user, item, tag, ts + rng.randint(0, 40)))
+    rng.shuffle(rows)
+    f = folksonomy_from_rows(rows)
+
+    users = f.users()
+    kept_users = set(random.Random(seed).sample(users, math.ceil(round(sample_fraction * len(users), 9))))
+    sampled = sample_users(f, sample_fraction, seed)
+    _assert_same_posts(sampled, _regrouped(f, lambda a: a.user in kept_users))
+
+    shared = {i for i in sampled.items() if len(sampled.taggers_of_item(i)) >= 2}
+    if not shared:
+        with pytest.raises(EmptyDatasetError):
+            remove_unique_resources(sampled)
+        cleaned = sampled
+    else:
+        cleaned = remove_unique_resources(sampled)
+        _assert_same_posts(cleaned, _regrouped(sampled, lambda a: a.item in shared))
+
+    held_out = {}
+    for user in cleaned.users():
+        by_time = sorted(cleaned.posts_of_user(user), key=lambda p: (p.timestamp, p.item))
+        n = len(by_time)
+        if n >= 2:
+            n_test = max(1, math.floor(round(test_fraction * n, 9)))
+            held_out[user] = frozenset(p.item for p in by_time[n - n_test :])
+    split = chronological_split(cleaned, test_fraction)
+    reference = _regrouped(cleaned, lambda a: a.item not in held_out.get(a.user, ()))
+    _assert_same_posts(split.train, reference)
+    assert split.test == held_out
+    last_use = {}
+    for a in reference.assignments():
+        last_use[a.user] = max(last_use.get(a.user, 0), a.timestamp)
+    assert split.t_ref == {user: ts + 1 for user, ts in last_use.items()}

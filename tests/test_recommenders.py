@@ -18,17 +18,10 @@ from folkrec.recommenders import (
     build_recommender,
 )
 from folkrec.similarity import BINARY_ITEM, TAG_PROFILE
-from folkrec.split import chronological_split
+from folkrec.split import chronological_split, reference_times
 
 from conftest import folksonomy_from_rows, random_folksonomy
 from oracles import o_cf, o_cirtt, o_huang, o_mp, o_zheng
-
-
-def make_t_ref(f):
-    return {
-        u: max(ts for p in f.posts_of_user(u) for _, ts in p.tag_times) + 1
-        for u in f.users()
-    }
 
 
 def test_config_validation():
@@ -120,7 +113,7 @@ def test_cf_b_and_cf_t_diverge_on_shared_tags_without_shared_items():
 def test_cirtt_candidates_equal_cf_b_candidates():
     for seed in range(5):
         f = random_folksonomy(seed, n_users=20, n_items=25, n_posts=90)
-        t_ref = make_t_ref(f)
+        t_ref = reference_times(f)
         config = RecommenderConfig("CIRTT", k=5)
         cirtt = Cirtt(f, t_ref, config)
         cf = UserBasedCF(f, RecommenderConfig("CF_B", k=5), BINARY_ITEM)
@@ -139,7 +132,7 @@ def test_cirtt_zero_overlap_candidates_rank_below_positive():
     ]
     f = folksonomy_from_rows(rows)
     u = f.vocab.users.id_of("u")
-    ranked = Cirtt(f, make_t_ref(f), RecommenderConfig("CIRTT", k=5)).recommend(u)
+    ranked = Cirtt(f, reference_times(f), RecommenderConfig("CIRTT", k=5)).recommend(u)
     labels = [f.vocab.items.label_of(i) for i, _ in ranked.entries]
     scores = dict(zip(labels, (s for _, s in ranked.entries)))
     assert labels.index("i_warm") < labels.index("i_cold")
@@ -156,7 +149,7 @@ def test_cirtt_equal_sim_orders_by_activation():
     ]
     f = folksonomy_from_rows(rows)
     u = f.vocab.users.id_of("u")
-    ranked = Cirtt(f, make_t_ref(f), RecommenderConfig("CIRTT", k=5)).recommend(u)
+    ranked = Cirtt(f, reference_times(f), RecommenderConfig("CIRTT", k=5)).recommend(u)
     by_label = {f.vocab.items.label_of(i): s for i, s in ranked.entries}
     # both candidates have one tagger who shares one item with u -> equal sim;
     # "fresh" was used at t=95 (recency 1), "stale" at t=30 -> c1 wins
@@ -170,7 +163,7 @@ def test_zheng_decay_ratio_closed_form():
         ("v", "a", "t", 9_000), ("v", "c", "t", 9_500),
     ]
     f = folksonomy_from_rows(rows)
-    t_ref = make_t_ref(f)
+    t_ref = reference_times(f)
     z = ExpDecayCF(f, t_ref, RecommenderConfig("Z", t0_seconds=t0))
     u = f.vocab.users.id_of("u")
     a = f.vocab.items.id_of("a")
@@ -187,7 +180,7 @@ def test_zheng_huge_t0_matches_tag_count_weighted_cf():
     checked = 0
     for seed in (3, 4, 5):
         f = random_folksonomy(seed, n_users=18, n_items=20, n_posts=70)
-        t_ref = make_t_ref(f)
+        t_ref = reference_times(f)
         z = ExpDecayCF(f, t_ref, RecommenderConfig("Z", t0_seconds=1e15, k=6))
         rows = {
             v: {p.item: float(len(p.tag_times)) for p in f.posts_of_user(v)}
@@ -259,7 +252,7 @@ ORACLES = {
 def test_algorithms_match_brute_force_oracle(tag):
     for seed in (0, 1, 2):
         f = random_folksonomy(seed, n_users=18, n_items=22, n_tags=8, n_posts=80)
-        t_ref = make_t_ref(f)
+        t_ref = reference_times(f)
         config = RecommenderConfig(tag, k=6, n=10)
         recommender = build_recommender(f, t_ref, config)
         for u in f.users():
@@ -273,7 +266,7 @@ def test_algorithms_match_brute_force_oracle(tag):
 def test_never_recommends_owned_items():
     for seed in range(4):
         f = random_folksonomy(seed)
-        t_ref = make_t_ref(f)
+        t_ref = reference_times(f)
         for tag in ALGORITHMS:
             recommender = build_recommender(f, t_ref, RecommenderConfig(tag, k=5))
             for u in f.users():
@@ -284,7 +277,7 @@ def test_never_recommends_owned_items():
 
 def test_rankings_are_deterministic():
     f = random_folksonomy(9)
-    t_ref = make_t_ref(f)
+    t_ref = reference_times(f)
     for tag in ALGORITHMS:
         config = RecommenderConfig(tag)
         a = build_recommender(f, t_ref, config)
@@ -295,7 +288,7 @@ def test_rankings_are_deterministic():
 
 def test_unknown_user_gets_empty_list():
     f = random_folksonomy(1)
-    t_ref = make_t_ref(f)
+    t_ref = reference_times(f)
     for tag in ("CF_B", "CF_T", "Z", "H", "CIRTT"):
         recommender = build_recommender(f, t_ref, RecommenderConfig(tag))
         assert recommender.recommend(10_000).entries == ()
@@ -321,7 +314,7 @@ N_FOLKSONOMY = random_folksonomy(4)
 )
 def test_list_length_is_n_or_config_n(tag, n, config_n):
     f = N_FOLKSONOMY
-    recommender = build_recommender(f, make_t_ref(f), RecommenderConfig(tag, n=config_n))
+    recommender = build_recommender(f, reference_times(f), RecommenderConfig(tag, n=config_n))
     for user in f.users()[:5] + [10_000]:
         if n is not None and n < 1:
             with pytest.raises(ConfigError):

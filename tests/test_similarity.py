@@ -21,7 +21,6 @@ from folkrec.similarity import (
     item_tagger_vectors,
     summed_item_cosines,
     tag_profile_vector,
-    top_k_neighbors,
 )
 
 from conftest import folksonomy_from_rows, random_folksonomy
@@ -135,7 +134,7 @@ def test_top_k_shared_items_ordering():
         ("u3", "y", "t", 8),
     ]
     f = folksonomy_from_rows(rows)
-    hood = top_k_neighbors(f, f.vocab.users.id_of("u1"), k=5)
+    hood = UserIndex(build_user_vectors(f, BINARY_ITEM)).top_k(f.vocab.users.id_of("u1"), k=5)
     labels = [f.vocab.users.label_of(u) for u, _ in hood.neighbors]
     assert labels == ["u2", "u3"]
 
@@ -148,7 +147,7 @@ def test_top_k_excludes_zero_similarity_users():
         ("u4", "zzz", "t", 4),
     ]
     f = folksonomy_from_rows(rows)
-    hood = top_k_neighbors(f, f.vocab.users.id_of("u1"), k=10)
+    hood = UserIndex(build_user_vectors(f, BINARY_ITEM)).top_k(f.vocab.users.id_of("u1"), k=10)
     labels = {f.vocab.users.label_of(u) for u, _ in hood.neighbors}
     assert labels == {"u2"}
 
@@ -168,7 +167,7 @@ def test_tie_break_by_user_id():
         ("carl", "a", "t", 3),
     ]
     f = folksonomy_from_rows(rows)
-    hood = top_k_neighbors(f, f.vocab.users.id_of("anna"), k=2)
+    hood = UserIndex(build_user_vectors(f, BINARY_ITEM)).top_k(f.vocab.users.id_of("anna"), k=2)
     ids = [u for u, _ in hood.neighbors]
     assert ids == sorted(ids)
     sims = [s for _, s in hood.neighbors]
