@@ -15,6 +15,7 @@ from .evaluation import (
     diversity,
     evaluate_algorithm,
     map_at_k,
+    metric_curves,
     ndcg_at_k,
     recall_at_k,
     run_experiment,
@@ -81,6 +82,7 @@ __all__ = [
     "generate",
     "load_snapshot",
     "map_at_k",
+    "metric_curves",
     "ndcg_at_k",
     "normalize_profile",
     "recall_at_k",

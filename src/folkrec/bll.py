@@ -11,6 +11,7 @@ how well the item matches what the user currently cares about.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Sequence
 
@@ -34,13 +35,23 @@ def bll_raw(use_timestamps: Sequence[int], t_ref: int, d: float) -> float:
 
     Every use must predate t_ref. Callers never ask about unused tags, so an
     empty list is a contract violation rather than a zero.
+
+    When the summed terms underflow (a large d, old uses), the same quantity
+    is computed in the log domain instead, as a log-sum-exp over the
+    -d * ln(recency) exponents, so the result stays finite. Sums that do not
+    underflow keep the direct computation.
     """
     if not use_timestamps:
         raise ValueError("bll_raw needs at least one use")
     for ts in use_timestamps:
         if ts >= t_ref:
             raise ValueError(f"use at {ts} does not predate t_ref={t_ref}")
-    return math.log(math.fsum((t_ref - ts) ** (-d) for ts in use_timestamps))
+    total = math.fsum((t_ref - ts) ** (-d) for ts in use_timestamps)
+    if total >= sys.float_info.min:
+        return math.log(total)
+    exponents = [-d * math.log(t_ref - ts) for ts in use_timestamps]
+    top = max(exponents)
+    return top + math.log(math.fsum(math.exp(x - top) for x in exponents))
 
 
 def normalize_profile(raw: Mapping[int, float]) -> Dict[int, float]:

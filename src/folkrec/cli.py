@@ -82,16 +82,26 @@ class RunConfig:
             raise ConfigError(f"unknown dataset keys: {', '.join(sorted(unknown))}")
         if "path" not in raw:
             raise ConfigError("'dataset' needs a 'path'")
+        columns = raw.get("columns", [0, 1, 2, 3])
+        if not (
+            isinstance(columns, list)
+            and len(columns) == 4
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in columns)
+        ):
+            raise ConfigError(f"columns must be a list of four integers, got {columns!r}")
         kwargs = {
             "path": self._path(raw["path"]),
-            "columns": tuple(int(c) for c in raw.get("columns", (0, 1, 2, 3))),
-            "delimiter": str(raw.get("delimiter", "\t")),
-            "timestamp_format": str(raw.get("timestamp_format", "epoch")),
+            "columns": tuple(columns),
+            "delimiter": _string(raw, "delimiter", "\t"),
+            "timestamp_format": _string(raw, "timestamp_format", "epoch"),
             "sample_fraction": _number(raw, "sample_fraction", 1.0),
             "seed": _number(raw, "seed", 0, int),
         }
         if "blacklist" in raw:
-            kwargs["blacklist"] = tuple(str(p) for p in raw["blacklist"] or ())
+            blacklist = [] if raw["blacklist"] is None else raw["blacklist"]
+            if not (isinstance(blacklist, list) and all(isinstance(p, str) for p in blacklist)):
+                raise ConfigError(f"blacklist must be a list of strings or null, got {blacklist!r}")
+            kwargs["blacklist"] = tuple(blacklist)
         return DatasetSpec(**kwargs)
 
     def _algorithms(self, raw: Optional[object]) -> List[RecommenderConfig]:
@@ -134,6 +144,14 @@ def _number(raw: Dict[str, object], key: str, default: float, kind: type = float
         return kind(value)
     except OverflowError:
         raise ConfigError(f"{key} is out of range: {value!r}") from None
+
+
+def _string(raw: Dict[str, object], key: str, default: str) -> str:
+    """``raw[key]``, which must be a YAML string."""
+    value = raw.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def load_config(path: str) -> RunConfig:

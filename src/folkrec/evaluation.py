@@ -25,53 +25,63 @@ from typing import Dict, IO, List, Mapping, Sequence, Set, Tuple
 from .errors import ConfigError, EmptyDatasetError
 from .model import Folksonomy, fingerprint
 from .recommenders import RecommenderConfig, build_recommender
-from .similarity import SparseVector, cosine, item_tag_vectors
+from .similarity import SparseVector, item_tag_vectors, overlapping_pair_cosines
 from .split import SplitResult, chronological_split
 
 K_MAX = 20
 
 
-def dcg(relevances: Sequence[int]) -> float:
-    return math.fsum(rel / math.log2(position + 1) for position, rel in enumerate(relevances, start=1))
+def metric_curves(
+    recommended: Sequence[int], relevant: Set[int], k_max: int = K_MAX
+) -> List[Tuple[float, float, float]]:
+    """(nDCG@k, AP@k, recall@k) for k = 1..k_max, from one walk over the list.
+
+    nDCG is binary: gains are 1 for hits, and the ideal list packs
+    min(|relevant|, k) hits at the top. AP accumulates the precision at each
+    hit and divides by min(|relevant|, k), the best hit count any length-k
+    list can reach. Recall is hits / |relevant|. The gain at position p is
+    1 / log2(p + 1), and each prefix sum is a fresh math.fsum of the terms a
+    from-scratch computation at that k would add, so every entry equals it
+    bit for bit. With no relevant items every value is 0.
+    """
+    if k_max < 1:
+        raise ValueError(f"k must be >= 1, got {k_max}")
+    if not relevant:
+        return [(0.0, 0.0, 0.0)] * k_max
+    n_relevant = len(relevant)
+    ideal_gains: List[float] = []
+    gains: List[float] = []
+    precisions: List[float] = []
+    hits = 0
+    ideal = gain_sum = precision_sum = 0.0
+    curves = []
+    for k in range(1, k_max + 1):
+        if k <= n_relevant:
+            ideal_gains.append(1 / math.log2(k + 1))
+            ideal = math.fsum(ideal_gains)
+        if k <= len(recommended) and recommended[k - 1] in relevant:
+            hits += 1
+            gains.append(1 / math.log2(k + 1))
+            precisions.append(hits / k)
+            gain_sum = math.fsum(gains)
+            precision_sum = math.fsum(precisions)
+        curves.append((gain_sum / ideal, precision_sum / min(n_relevant, k), hits / n_relevant))
+    return curves
 
 
 def ndcg_at_k(recommended: Sequence[int], relevant: Set[int], k: int) -> float:
-    """Binary nDCG: gains are 1 for hits, ideal list packs hits at the top."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not relevant:
-        return 0.0
-    top = recommended[:k]
-    ideal = dcg([1] * min(len(relevant), k))
-    return dcg([1 if item in relevant else 0 for item in top]) / ideal
+    """Binary nDCG at k: the last entry of ``metric_curves``."""
+    return metric_curves(recommended, relevant, k)[-1][0]
 
 
 def map_at_k(recommended: Sequence[int], relevant: Set[int], k: int) -> float:
-    """Average precision at k for one ranking.
-
-    Precision is accumulated at each hit position and divided by
-    min(|relevant|, k), the best hit count any length-k list can reach.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not relevant:
-        return 0.0
-    hits = 0
-    precisions = []
-    for position, item in enumerate(recommended[:k], start=1):
-        if item in relevant:
-            hits += 1
-            precisions.append(hits / position)
-    return math.fsum(precisions) / min(len(relevant), k)
+    """Average precision at k for one ranking: the last entry of ``metric_curves``."""
+    return metric_curves(recommended, relevant, k)[-1][1]
 
 
 def recall_at_k(recommended: Sequence[int], relevant: Set[int], k: int) -> float:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not relevant:
-        return 0.0
-    hit_count = sum(1 for item in recommended[:k] if item in relevant)
-    return hit_count / len(relevant)
+    """Recall at k: the last entry of ``metric_curves``."""
+    return metric_curves(recommended, relevant, k)[-1][2]
 
 
 def diversity(recommended: Sequence[int], item_vectors: Mapping[int, SparseVector]) -> float:
@@ -79,13 +89,17 @@ def diversity(recommended: Sequence[int], item_vectors: Mapping[int, SparseVecto
 
     Lists with fewer than two items have no pairs and score 0. Items without
     a tag vector count as maximally distant from everything (cosine 0).
+    Pair cosines come from ``overlapping_pair_cosines`` and so need integer
+    weights, as item tag vectors have.
     """
     m = len(recommended)
     if m < 2:
         return 0.0
-    empty = SparseVector({})
-    vectors = [item_vectors.get(item, empty) for item in recommended]
-    distances = [1.0 - cosine(vectors[a], vectors[b]) for a in range(m) for b in range(a + 1, m)]
+    cosines = overlapping_pair_cosines([item_vectors.get(item) for item in recommended])
+    # every other pair is at distance exactly 1.0; fsum rounds the exact
+    # total once, so they can enter as one count
+    distances = [1.0 - c for c in cosines]
+    distances.append(m * (m - 1) // 2 - len(cosines))
     return math.fsum(distances) / (m * (m - 1) / 2)
 
 
@@ -154,13 +168,14 @@ def _evaluate_user(
     if not served:
         zeros = tuple(0.0 for _ in range(K_MAX))
         return UserResult(user, False, (), zeros, zeros, zeros, 0.0)
+    ndcg, ap, recall = zip(*metric_curves(recommended, relevant))
     return UserResult(
         user=user,
         served=True,
         recommended=recommended,
-        ndcg=tuple(ndcg_at_k(recommended, relevant, k) for k in range(1, K_MAX + 1)),
-        ap=tuple(map_at_k(recommended, relevant, k) for k in range(1, K_MAX + 1)),
-        recall=tuple(recall_at_k(recommended, relevant, k) for k in range(1, K_MAX + 1)),
+        ndcg=ndcg,
+        ap=ap,
+        recall=recall,
         diversity_at_max=diversity(recommended, item_vectors),
     )
 

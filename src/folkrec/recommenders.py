@@ -216,7 +216,9 @@ class ExpDecayCF(_NeighborhoodRecommender):
 
     The binary matrix is replaced by W[u][i] = (number of tags u put on i)
     * exp(-(t_ref(u) - t(u,i)) / t0); both the user neighborhood and the
-    candidate scores sum(sim(u,v) * W[v][i]) are computed from W.
+    candidate scores sum(sim(u,v) * W[v][i]) are computed from W. A weight
+    whose decay underflows to 0.0 is left out of the user vectors (it adds
+    nothing to a dot product) and adds an exact 0.0 to a score.
     """
 
     tag = "Z"
@@ -229,7 +231,11 @@ class ExpDecayCF(_NeighborhoodRecommender):
                 post.item: len(post.tag_times) * math.exp(-(reference - post.timestamp) / config.t0_seconds)
                 for post in train.posts_of_user(user)
             }
-        super().__init__(train, config, {user: SparseVector(row) for user, row in self._weights.items()})
+        vectors = {
+            user: SparseVector({item: w for item, w in row.items() if w > 0.0})
+            for user, row in self._weights.items()
+        }
+        super().__init__(train, config, vectors)
 
     def recommend(self, user: int, n: Optional[int] = None) -> RankedList:
         n = self._list_length(n)

@@ -11,9 +11,11 @@ Item-item similarity has one home here. Each training folksonomy's item
 vectors (binary tagger columns and tag-count vectors) are built once and
 shared by every consumer, and ``summed_item_cosines`` scores a user's
 candidates against the user's own items through one inverted index per
-user. Item vectors carry integer weights, so every product and partial dot
-product is an exact integer in a float: item-item cosines are exact and do
-not depend on the order their terms are added in.
+user; ``overlapping_pair_cosines`` scores every pair within one ranked list
+(evaluation's diversity) through one inverted index per list. Item vectors
+carry integer weights, so every product and partial dot product is an exact
+integer in a float: item-item cosines are exact and do not depend on the
+order their terms are added in.
 
 Float sums use math.fsum throughout, so results do not depend on the order
 contributions happen to arrive in.
@@ -26,7 +28,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import NoProfileError
 from .model import Folksonomy
@@ -160,7 +162,7 @@ def summed_item_cosines(
     sharing no dimension with the candidate adds an exact 0.0 and is skipped.
 
     One inverted index over the owned items' dimensions serves every
-    candidate.
+    candidate. ``overlapping_pair_cosines`` works under the same contract.
     """
     postings: Dict[int, List[Tuple[int, float]]] = {}
     norms: Dict[int, float] = {}
@@ -178,6 +180,43 @@ def summed_item_cosines(
                 dots[j] = dots.get(j, 0.0) + w * ow
         sums[item] = math.fsum(max(0.0, min(1.0, dot / (vec.norm * norms[j]))) for j, dot in dots.items())
     return sums
+
+
+def overlapping_pair_cosines(vectors: Sequence[Optional[SparseVector]]) -> List[float]:
+    """Cosine of every pair of positions whose vectors share a dimension.
+
+    Every other pair, including any pair with a missing (None) or empty
+    vector, has ``cosine`` exactly 0.0 and is left out; the caller counts
+    those as ``pairs - len(result)``.
+
+    Each value equals ``cosine(vectors[a], vectors[b])`` bit for bit under
+    the contract of ``summed_item_cosines``: every weight is an integer, so
+    each product and each partial dot product is an exact integer in a float
+    and the plain accumulation below equals ``dot``'s fsum. The division and
+    the [0, 1] clamp are those of ``cosine``.
+
+    One inverted index over the list's dimensions serves every pair: each
+    position meets only the earlier positions it shares a dimension with.
+    """
+    postings: Dict[int, List[Tuple[int, float]]] = {}
+    norms: Dict[int, float] = {}
+    cosines: List[float] = []
+    for b, vec in enumerate(vectors):
+        if not vec:
+            continue
+        norms[b] = vec.norm
+        dots: Dict[int, float] = {}
+        for dim, w in vec.items():
+            entries = postings.get(dim)
+            if entries is None:
+                postings[dim] = [(b, w)]
+                continue
+            for a, wa in entries:
+                dots[a] = dots.get(a, 0.0) + wa * w
+            entries.append((b, w))
+        for a, dot in dots.items():
+            cosines.append(max(0.0, min(1.0, dot / (norms[a] * vec.norm))))
+    return cosines
 
 
 class UserIndex:

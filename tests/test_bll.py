@@ -55,6 +55,24 @@ def test_adding_a_use_strictly_increases_activation(recencies, extra):
     assert bll_raw(uses + [t_ref - extra], t_ref, 0.5) > bll_raw(uses, t_ref, 0.5)
 
 
+def test_underflowing_single_use_falls_back_to_the_log_domain():
+    recency = 10**6
+    assert recency ** -150.0 == 0.0
+    assert bll_raw([10**9 - recency], t_ref=10**9, d=150.0) == pytest.approx(-150.0 * math.log(recency), rel=1e-9)
+    # two equally old uses add ln 2 to one use's activation
+    two = bll_raw([10**9 - recency, 10**9 - recency], t_ref=10**9, d=150.0)
+    assert two == pytest.approx(-150.0 * math.log(recency) + math.log(2.0), rel=1e-9)
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=10**9), min_size=1, max_size=8),
+    st.floats(min_value=0.1, max_value=500.0),
+)
+def test_activation_is_finite_for_any_decay(recencies, d):
+    t_ref = 2 * 10**9
+    assert math.isfinite(bll_raw([t_ref - r for r in recencies], t_ref, d))
+
+
 def test_preconditions():
     with pytest.raises(ValueError):
         bll_raw([], 100, 0.5)

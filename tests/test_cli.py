@@ -88,6 +88,15 @@ def test_unknown_config_key_is_config_error(workdir, capsys):
         ("split_fraction: 0.2", "split_fraction: abc"),
         ("count_unserved: true", 'count_unserved: "false"'),
         ("split_fraction: 0.2", "split_fraction: 1" + "0" * 400),
+        ("  columns: [0, 1, 2, 3]", "  columns: 5"),
+        ("  columns: [0, 1, 2, 3]", "  columns: [a, b, c, d]"),
+        ("  columns: [0, 1, 2, 3]", "  columns: [0, 2, 3, true]"),
+        ("  columns: [0, 1, 2, 3]", "  columns: [0, 1, 2, 3.0]"),
+        ("  columns: [0, 1, 2, 3]", "  columns: [0, 1, 2, 3, 4]"),
+        ("  sample_fraction: 1.0", "  sample_fraction: 1.0\n  blacklist: 7"),
+        ("  sample_fraction: 1.0", "  sample_fraction: 1.0\n  blacklist: [bibtex-import, 7]"),
+        ('  delimiter: "\\t"', "  delimiter: 1"),
+        ("  timestamp_format: epoch", "  timestamp_format: 5"),
     ],
 )
 def test_bad_config_value_is_config_error(workdir, capsys, line, mistake):
@@ -98,6 +107,22 @@ def test_bad_config_value_is_config_error(workdir, capsys, line, mistake):
     assert code == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "line,value",
+    [
+        ("    t0_seconds: 8640000.0", "    t0_seconds: 1.0"),  # Z's decay underflows to 0.0
+        ("    d: 0.5", "    d: 150"),  # every CIRTT recency term underflows
+    ],
+)
+def test_run_completes_where_decay_underflows(workdir, capsys, line, value):
+    config = (workdir / "mini_config.yaml").read_text()
+    assert line in config
+    (workdir / "mini_config.yaml").write_text(config.replace(line, value))
+    assert run_cli("run", "--config", workdir / "mini_config.yaml") == EXIT_OK
+    for name in ("report.txt", "metrics.csv", "summary.json"):
+        assert (workdir / "out" / name).exists()
 
 
 def test_run_writes_all_three_reports(workdir, capsys):

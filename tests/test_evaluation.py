@@ -14,6 +14,7 @@ from folkrec.evaluation import (
     evaluate_algorithm,
     item_tag_vectors,
     map_at_k,
+    metric_curves,
     ndcg_at_k,
     recall_at_k,
     run_experiment,
@@ -21,7 +22,7 @@ from folkrec.evaluation import (
 )
 from folkrec.ingest import DatasetSpec, run_pipeline
 from folkrec.recommenders import RecommenderConfig, build_recommender
-from folkrec.similarity import SparseVector, item_tagger_vectors
+from folkrec.similarity import SparseVector, cosine, item_tagger_vectors
 from folkrec.split import chronological_split
 
 from conftest import random_folksonomy
@@ -102,6 +103,92 @@ def test_metrics_bounded_and_recall_monotone(ranking, relevant, k):
         assert 0.0 <= value <= 1.0
     if k > 1:
         assert recall_at_k(ranking, relevant, k) >= recall_at_k(ranking, relevant, k - 1)
+
+
+def reference_curve_point(recommended, relevant, k):
+    """(nDCG@k, AP@k, recall@k) by the per-k formulas, each computed from scratch."""
+    if not relevant:
+        return (0.0, 0.0, 0.0)
+
+    def dcg(relevances):
+        return math.fsum(rel / math.log2(position + 1) for position, rel in enumerate(relevances, start=1))
+
+    top = recommended[:k]
+    ndcg = dcg([1 if item in relevant else 0 for item in top]) / dcg([1] * min(len(relevant), k))
+    hits = 0
+    precisions = []
+    for position, item in enumerate(top, start=1):
+        if item in relevant:
+            hits += 1
+            precisions.append(hits / position)
+    ap = math.fsum(precisions) / min(len(relevant), k)
+    recall = sum(1 for item in top if item in relevant) / len(relevant)
+    return (ndcg, ap, recall)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=40), max_size=25, unique=True),
+    st.sets(st.integers(min_value=0, max_value=40), max_size=30),
+    st.integers(min_value=1, max_value=25),
+)
+@settings(max_examples=300)
+def test_metric_curves_equal_per_k_formulas(ranking, relevant, k_max):
+    # lists shorter than k and |relevant| > k both come up
+    curves = metric_curves(ranking, relevant, k_max)
+    assert curves == [reference_curve_point(ranking, relevant, k) for k in range(1, k_max + 1)]
+    assert ndcg_at_k(ranking, relevant, k_max) == curves[-1][0]
+    assert map_at_k(ranking, relevant, k_max) == curves[-1][1]
+    assert recall_at_k(ranking, relevant, k_max) == curves[-1][2]
+    assert len(metric_curves(ranking, relevant)) == K_MAX
+
+
+def reference_diversity(recommended, item_vectors):
+    """fsum of 1 - cosine over every pair, divided by the pair count."""
+    m = len(recommended)
+    if m < 2:
+        return 0.0
+    empty = SparseVector({})
+    vectors = [item_vectors.get(item, empty) for item in recommended]
+    distances = [1.0 - cosine(vectors[a], vectors[b]) for a in range(m) for b in range(a + 1, m)]
+    return math.fsum(distances) / (m * (m - 1) / 2)
+
+
+@st.composite
+def item_vector_maps(draw):
+    """Integer-weight item vectors over one id alphabet (ints or strings).
+
+    Items 0..24 get random vectors over the alphabet's first five ids, so
+    pairs share dimensions often; items 25..29 are missing; 30..32 are equal
+    3-dimension binary vectors, whose unclamped cosine is above 1; 33 is
+    empty; 34 sits on the sixth id and overlaps nothing else.
+    """
+    alphabet = draw(st.sampled_from([tuple(range(6)), tuple("abcdef")]))
+    weights = draw(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=24),
+            st.dictionaries(st.sampled_from(alphabet[:5]), st.integers(min_value=1, max_value=9).map(float), max_size=5),
+            max_size=25,
+        )
+    )
+    vectors = {item: SparseVector(w) for item, w in weights.items()}
+    vectors.update({item: SparseVector({d: 1.0 for d in alphabet[:3]}) for item in (30, 31, 32)})
+    vectors[33] = SparseVector({})
+    vectors[34] = SparseVector({alphabet[5]: 2.0})
+    return vectors
+
+
+@given(item_vector_maps(), st.lists(st.integers(min_value=0, max_value=34), max_size=20, unique=True))
+@settings(max_examples=300)
+def test_diversity_equals_pairwise_cosine_reference(vectors, ranking):
+    assert diversity(ranking, vectors) == reference_diversity(ranking, vectors)
+
+
+def test_diversity_clamps_and_counts_disjoint_pairs_as_one():
+    equal = {item: SparseVector({u: 1.0 for u in range(3)}) for item in range(3)}
+    assert 3.0 / (equal[0].norm * equal[1].norm) > 1.0
+    assert diversity([0, 1, 2], equal) == 0.0
+    disjoint = {item: SparseVector({item: 1.0}) for item in range(20)}
+    assert diversity(list(range(20)), disjoint) == 1.0
 
 
 def _mini_split():

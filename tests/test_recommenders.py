@@ -1,12 +1,14 @@
 """The six algorithms against brute-force oracles and targeted fixtures."""
 
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folkrec.errors import ConfigError
+from folkrec.ingest import DatasetSpec, run_pipeline
 from folkrec.recommenders import (
     ALGORITHMS,
     Cirtt,
@@ -22,6 +24,8 @@ from folkrec.split import chronological_split, reference_times
 
 from conftest import folksonomy_from_rows, random_folksonomy
 from oracles import o_cf, o_cirtt, o_huang, o_mp, o_zheng
+
+MINI = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "mini.tsv")
 
 
 def test_config_validation():
@@ -203,6 +207,21 @@ def test_zheng_huge_t0_matches_tag_count_weighted_cf():
             assert got == expected
             checked += 1
     assert checked >= 10  # enough tie-free users to make the check meaningful
+
+
+def test_zheng_underflowing_decay_matches_oracle():
+    # at t0 = 1 s every post older than ~745 s decays to exactly 0.0
+    folksonomy, _ = run_pipeline(DatasetSpec(path=MINI))
+    split = chronological_split(folksonomy, 0.2)
+    config = RecommenderConfig("Z", k=20, t0_seconds=1.0)
+    z = build_recommender(split.train, split.t_ref, config)
+    assert any(w == 0.0 for row in z._weights.values() for w in row.values())
+    for u in split.train.users():
+        got = z.recommend(u, 20).entries
+        expected = o_zheng(split.train, split.t_ref, u, 20, 20, 1.0)
+        assert [i for i, _ in got] == [i for i, _ in expected], u
+        for (_, gs), (_, es) in zip(got, expected):
+            assert gs == pytest.approx(es, abs=1e-9)
 
 
 def test_huang_weight_endpoints():
