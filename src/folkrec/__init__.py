@@ -6,7 +6,7 @@ evaluates them under a chronological leave-newest-out protocol with
 deterministic, byte-stable reports.
 """
 
-from .bll import BllParams, UserBllProfile, bll_item, bll_raw, build_bll_profile, normalize_profile
+from .bll import BllParams, bll_item, bll_raw, build_bll_profile, normalize_profile
 from .errors import ConfigError, EmptyDatasetError, FolkrecError, FormatError, NoProfileError
 from .evaluation import (
     AlgorithmReport,
@@ -34,7 +34,7 @@ from .recommenders import (
     UserBasedCF,
     build_recommender,
 )
-from .similarity import Neighborhood, SparseVector, cosine
+from .similarity import SparseVector, cosine
 from .split import SplitResult, chronological_split, reference_times
 from .synth import SynthConfig, generate
 
@@ -56,7 +56,6 @@ __all__ = [
     "K_MAX",
     "LinearDecayTagCF",
     "MostPopular",
-    "Neighborhood",
     "NoProfileError",
     "Post",
     "RankedList",
@@ -67,7 +66,6 @@ __all__ = [
     "SynthConfig",
     "TagAssignment",
     "UserBasedCF",
-    "UserBllProfile",
     "Vocab",
     "bll_item",
     "bll_raw",

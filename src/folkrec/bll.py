@@ -66,24 +66,15 @@ def normalize_profile(raw: Mapping[int, float]) -> Dict[int, float]:
     return {t: e / total for t, e in exps.items()}
 
 
-@dataclass(frozen=True, eq=False)
-class UserBllProfile:
-    """Normalized per-tag activation of one user at reference time t_ref."""
-
-    user: int
-    values: Dict[int, float]
-    t_ref: int
-
-
-def build_bll_profile(train: Folksonomy, user: int, t_ref: int, params: BllParams) -> UserBllProfile:
-    """Raw activation per tag over all the user's training uses, then normalized."""
+def build_bll_profile(train: Folksonomy, user: int, t_ref: int, params: BllParams) -> Dict[int, float]:
+    """Normalized activation per tag at t_ref, over all the user's training uses."""
     uses = train.tag_use_times(user)
     if not uses:
         raise NoProfileError(f"user {user} has no training tag assignments")
     raw = {tag: bll_raw(times, t_ref, params.d) for tag, times in uses.items()}
-    return UserBllProfile(user=user, values=normalize_profile(raw), t_ref=t_ref)
+    return normalize_profile(raw)
 
 
-def bll_item(profile: UserBllProfile, item_tags: Iterable[int]) -> float:
+def bll_item(profile: Mapping[int, float], item_tags: Iterable[int]) -> float:
     """Summed profile weight of the item's tags the user has used; 0.0 on no overlap."""
-    return math.fsum(profile.values[t] for t in sorted(item_tags) if t in profile.values)
+    return math.fsum(profile[t] for t in sorted(item_tags) if t in profile)

@@ -34,7 +34,7 @@ EXIT_DATA = 3
 EXIT_IO = 4
 
 _DATASET_KEYS = {"path", "columns", "delimiter", "timestamp_format", "blacklist", "sample_fraction", "seed"}
-_ALGORITHM_KEYS = {"algorithm", "k", "n", "d", "t0_seconds", "floor"}
+_ALGORITHM_KEYS = {"algorithm", "k", "d", "t0_seconds", "floor"}
 _TOP_KEYS = {"dataset", "snapshot", "split_fraction", "algorithms", "out_dir", "seed", "workers", "count_unserved"}
 
 
@@ -123,7 +123,6 @@ class RunConfig:
             kwargs = {
                 "algorithm": str(entry["algorithm"]).upper(),
                 "k": _number(entry, "k", 20, int),
-                "n": _number(entry, "n", 20, int),
             }
             if "d" in entry:
                 kwargs["bll"] = BllParams(d=_number(entry, "d", 0.0))
@@ -160,7 +159,7 @@ def load_config(path: str) -> RunConfig:
             raw = yaml.safe_load(handle)
     except OSError as exc:
         raise _IOProblem(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     return RunConfig(raw or {}, os.path.dirname(os.path.abspath(path)))
 
@@ -236,26 +235,33 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         report_path = os.path.join(report_path, "summary.json")
     if not os.path.exists(report_path):
         raise _IOProblem(f"report not found: {report_path}")
-    with open(report_path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    try:
+        with open(report_path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise FormatError(f"report {report_path} is not JSON: {exc}") from None
+    # every file's text is built before the first is written, so a report
+    # missing a field leaves no partial output
+    try:
+        provenance = (
+            f"# dataset_fingerprint={payload['dataset_fingerprint']}\n"
+            f"# config_hash={payload['config_hash']}\n"
+        )
+        tables = {
+            f"{tag}_{metric}.csv": provenance + "k,value\n" + "".join(
+                f"{k},{payload['algorithms'][tag][metric][k - 1]:.6f}\n" for k in range(1, K_MAX + 1)
+            )
+            for tag in sorted(payload["algorithms"])
+            for metric in ("ndcg", "map", "recall")
+        }
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise FormatError(f"report {report_path} is not a folkrec summary: {type(exc).__name__} {exc}") from None
     out_dir = args.out or os.path.join(os.path.dirname(os.path.abspath(report_path)), "plotdata")
     os.makedirs(out_dir, exist_ok=True)
-    provenance = (
-        f"# dataset_fingerprint={payload['dataset_fingerprint']}\n"
-        f"# config_hash={payload['config_hash']}\n"
-    )
-    count = 0
-    for tag in sorted(payload["algorithms"]):
-        series = payload["algorithms"][tag]
-        for metric in ("ndcg", "map", "recall"):
-            path = os.path.join(out_dir, f"{tag}_{metric}.csv")
-            with open(path, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(provenance)
-                handle.write("k,value\n")
-                for k in range(1, K_MAX + 1):
-                    handle.write(f"{k},{series[metric][k - 1]:.6f}\n")
-            count += 1
-    print(f"{count} series files written to {out_dir}")
+    for name, text in tables.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    print(f"{len(tables)} series files written to {out_dir}")
     return EXIT_OK
 
 
@@ -310,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_rec)
     p_rec.add_argument("--user", required=True, help="user label")
     p_rec.add_argument("--algorithm", default="CIRTT", help=f"one of {', '.join(ALGORITHMS)}")
-    p_rec.add_argument("--n", type=int, default=20, help="list length")
+    p_rec.add_argument("--n", type=int, default=K_MAX, help=f"list length (default {K_MAX})")
     p_rec.set_defaults(func=cmd_recommend)
     return parser
 

@@ -24,11 +24,9 @@ from typing import Dict, IO, List, Mapping, Sequence, Set, Tuple
 
 from .errors import ConfigError, EmptyDatasetError
 from .model import Folksonomy, fingerprint
-from .recommenders import RecommenderConfig, build_recommender
+from .recommenders import K_MAX, RecommenderConfig, build_recommender
 from .similarity import SparseVector, item_tag_vectors, overlapping_pair_cosines
 from .split import SplitResult, chronological_split
-
-K_MAX = 20
 
 
 def metric_curves(
@@ -280,7 +278,10 @@ def _config_echo(
             {
                 "algorithm": c.algorithm,
                 "k": c.k,
-                "n": c.n,
+                # every list is K_MAX long, so n is not a setting; the key
+                # stays so config_hash and the golden and pinned reports
+                # keep their bytes
+                "n": K_MAX,
                 "bll_d": c.bll.d,
                 "t0_seconds": c.t0_seconds,
                 "floor": c.floor,

@@ -69,12 +69,29 @@ def _parse_timestamp(raw: str, fmt: str) -> int:
     return ts
 
 
+def _first_non_utf8_line(path: str) -> int:
+    """Number of the first line of a non-UTF-8 file that does not decode.
+
+    The text layer decodes ahead in blocks, so the line it fails on need not
+    hold the bad bytes. A newline byte never occurs inside a UTF-8 sequence,
+    so some line fails whenever the whole file does.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    raise ValueError(f"{path} decodes as UTF-8")
+
+
 def parse(spec: DatasetSpec) -> ParseResult:
     """Read a dump into tag assignments, interning labels as they appear.
 
     Malformed rows are counted with their line number and reason, never
     silently dropped. If more than half of the data rows are malformed the
-    column mapping is almost certainly wrong and a FormatError is raised.
+    column mapping is almost certainly wrong and a FormatError is raised, as
+    it is for a file that is not UTF-8 text.
     """
     vocab = Vocab()
     assignments: List[TagAssignment] = []
@@ -82,31 +99,34 @@ def parse(spec: DatasetSpec) -> ParseResult:
     data_rows = 0
     needed = max(spec.columns) + 1
 
-    with open(spec.path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            data_rows += 1
-            fields = line.rstrip("\n").split(spec.delimiter)
-            if len(fields) < needed:
-                malformed.append((lineno, f"expected at least {needed} columns, got {len(fields)}"))
-                continue
-            cu, ci, ct, cts = spec.columns
-            user = fields[cu].strip()
-            item = fields[ci].strip()
-            tag = fields[ct].strip().lower()  # tags are case-folded before interning
-            if not user or not item or not tag:
-                malformed.append((lineno, "empty user, item or tag field"))
-                continue
-            try:
-                ts = _parse_timestamp(fields[cts], spec.timestamp_format)
-            except (ValueError, OverflowError) as exc:
-                malformed.append((lineno, f"bad timestamp {fields[cts]!r}: {exc}"))
-                continue
-            assignments.append(
-                TagAssignment(vocab.users.intern(user), vocab.items.intern(item), vocab.tags.intern(tag), ts)
-            )
+    try:
+        with open(spec.path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                data_rows += 1
+                fields = line.rstrip("\n").split(spec.delimiter)
+                if len(fields) < needed:
+                    malformed.append((lineno, f"expected at least {needed} columns, got {len(fields)}"))
+                    continue
+                cu, ci, ct, cts = spec.columns
+                user = fields[cu].strip()
+                item = fields[ci].strip()
+                tag = fields[ct].strip().lower()  # tags are case-folded before interning
+                if not user or not item or not tag:
+                    malformed.append((lineno, "empty user, item or tag field"))
+                    continue
+                try:
+                    ts = _parse_timestamp(fields[cts], spec.timestamp_format)
+                except (ValueError, OverflowError) as exc:
+                    malformed.append((lineno, f"bad timestamp {fields[cts]!r}: {exc}"))
+                    continue
+                assignments.append(
+                    TagAssignment(vocab.users.intern(user), vocab.items.intern(item), vocab.tags.intern(tag), ts)
+                )
+    except UnicodeDecodeError:
+        raise FormatError(f"{spec.path} line {_first_non_utf8_line(spec.path)} is not UTF-8 text") from None
 
     if data_rows and len(malformed) * 2 > data_rows:
         raise FormatError(

@@ -3,7 +3,9 @@
 Every recommender is built once from training data and then asked, per
 user, for the top-n items the user has not bookmarked yet. All of them are
 pure functions of (train folksonomy, per-user reference times, config): no
-shared mutable state, so batch recommendation parallelizes freely.
+shared mutable state, so batch recommendation parallelizes freely. Each
+algorithm supplies only its ranking of the user's unseen items; the base
+class cuts it to the requested length.
 
 Algorithm tags:
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .bll import BllParams, bll_item, build_bll_profile
 from .errors import ConfigError, NoProfileError
@@ -32,7 +34,6 @@ from .model import Folksonomy
 from .similarity import (
     BINARY_ITEM,
     TAG_PROFILE,
-    Neighborhood,
     SparseVector,
     UserIndex,
     build_user_vectors,
@@ -42,6 +43,8 @@ from .similarity import (
 )
 
 ALGORITHMS = ("MP", "CF_B", "CF_T", "Z", "H", "CIRTT")
+
+K_MAX = 20  # list length: evaluation reads every per-k metric off it; recommend's default
 
 SECONDS_PER_DAY = 86400.0
 
@@ -65,7 +68,6 @@ class RankedList:
 class RecommenderConfig:
     algorithm: str
     k: int = 20
-    n: int = 20
     bll: BllParams = field(default_factory=BllParams)
     t0_seconds: float = 100 * SECONDS_PER_DAY  # e-folding timescale of the Z decay
     floor: float = 0.0  # minimum per-use weight in the H linear decay
@@ -73,8 +75,8 @@ class RecommenderConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm tag {self.algorithm!r}; known: {', '.join(ALGORITHMS)}")
-        if self.k < 1 or self.n < 1:
-            raise ConfigError(f"k and n must be >= 1, got k={self.k} n={self.n}")
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
         if not self.t0_seconds > 0.0:
             raise ConfigError(f"t0_seconds must be positive, got {self.t0_seconds}")
         if self.floor < 0.0:
@@ -82,94 +84,100 @@ class RecommenderConfig:
 
 
 class Recommender:
-    """Common surface: rank unseen items for one user from train data only."""
+    """Common surface: rank unseen items for one user from train data only.
 
-    tag: str = "?"
+    An algorithm implements ``ranking``; ``recommend`` cuts it to length.
+    """
 
-    def __init__(self, train: Folksonomy, config: RecommenderConfig) -> None:
+    def __init__(self, train: Folksonomy, t_ref: Mapping[int, int], config: RecommenderConfig) -> None:
         self.train = train
+        self.t_ref = t_ref
         self.config = config
 
-    def recommend(self, user: int, n: Optional[int] = None) -> RankedList:
-        """The user's top-n unseen items; n defaults to config.n and must be >= 1."""
+    def ranking(self, user: int) -> Iterable[Tuple[int, float]]:
+        """The user's unseen items as (item, score), best first."""
         raise NotImplementedError
 
-    def _list_length(self, n: Optional[int]) -> int:
-        if n is None:
-            return self.config.n
+    def recommend(self, user: int, n: int = K_MAX) -> RankedList:
+        """The user's top-n unseen items; n must be >= 1."""
         if n < 1:
             raise ConfigError(f"n must be >= 1, got {n}")
-        return n
-
-
-def _ranked(user: int, scored: List[Tuple[int, float]], n: int) -> RankedList:
-    scored.sort(key=lambda entry: (-entry[1], entry[0]))
-    return RankedList(user=user, entries=tuple(scored[:n]))
+        return RankedList(user=user, entries=tuple(islice(self.ranking(user), n)))
 
 
 class MostPopular(Recommender):
     """Unpersonalized baseline: the globally most-bookmarked items."""
 
-    tag = "MP"
-
-    def __init__(self, train: Folksonomy, config: RecommenderConfig) -> None:
-        super().__init__(train, config)
-        self._ranking = tuple(
+    def __init__(self, train: Folksonomy, t_ref: Mapping[int, int], config: RecommenderConfig) -> None:
+        super().__init__(train, t_ref, config)
+        self._by_popularity = tuple(
             sorted(
                 ((item, float(len(train.posts_of_item(item)))) for item in train.items()),
                 key=lambda entry: (-entry[1], entry[0]),
             )
         )
 
-    def recommend(self, user: int, n: Optional[int] = None) -> RankedList:
-        n = self._list_length(n)
+    def ranking(self, user: int) -> Iterable[Tuple[int, float]]:
         owned = set(self.train.items_of_user(user))
-        unseen = (entry for entry in self._ranking if entry[0] not in owned)
-        return RankedList(user=user, entries=tuple(islice(unseen, n)))
+        return (entry for entry in self._by_popularity if entry[0] not in owned)
 
 
 class _NeighborhoodRecommender(Recommender):
-    """Shared step one of the CF family: neighbors and their new items."""
+    """The CF family: step one finds neighbors and their new items, step two scores them.
 
-    def __init__(self, train: Folksonomy, config: RecommenderConfig, vectors: Mapping[int, SparseVector]) -> None:
-        super().__init__(train, config)
+    A subclass supplies the user vectors and ``scores``; ranking sorts by
+    score descending, item id ascending.
+    """
+
+    def __init__(
+        self,
+        train: Folksonomy,
+        t_ref: Mapping[int, int],
+        config: RecommenderConfig,
+        vectors: Mapping[int, SparseVector],
+    ) -> None:
+        super().__init__(train, t_ref, config)
         self.index = UserIndex(vectors)
 
-    def candidates(self, user: int) -> Tuple[Optional[Neighborhood], Dict[int, List[Tuple[int, float]]]]:
+    def candidates(
+        self, user: int
+    ) -> Tuple[Optional[Tuple[Tuple[int, float], ...]], Dict[int, List[Tuple[int, float]]]]:
         """Items bookmarked by the k nearest users but new to the target.
 
-        Returns the neighborhood and, per candidate item, the (neighbor,
-        similarity) pairs that brought it in, in neighborhood order.
+        Returns the (neighbor, similarity) pairs, or None for a user without
+        a profile, and, per candidate item, the pairs that brought it in, in
+        neighborhood order.
         """
         try:
-            neighborhood = self.index.top_k(user, self.config.k)
+            neighbors = self.index.top_k(user, self.config.k)
         except NoProfileError:
             return None, {}
         owned = set(self.train.items_of_user(user))
         contrib: Dict[int, List[Tuple[int, float]]] = {}
-        for neighbor, sim in neighborhood.neighbors:
+        for neighbor, sim in neighbors:
             for item in self.train.items_of_user(neighbor):
                 if item not in owned:
                     contrib.setdefault(item, []).append((neighbor, sim))
-        return neighborhood, contrib
+        return neighbors, contrib
+
+    def scores(self, user: int, contrib: Mapping[int, List[Tuple[int, float]]]) -> Mapping[int, float]:
+        """Score per candidate item in ``contrib``."""
+        raise NotImplementedError
+
+    def ranking(self, user: int) -> Iterable[Tuple[int, float]]:
+        _, contrib = self.candidates(user)
+        return sorted(self.scores(user, contrib).items(), key=lambda entry: (-entry[1], entry[0]))
 
 
 class UserBasedCF(_NeighborhoodRecommender):
     """CF_B / CF_T: score a candidate by the summed similarity of the neighbors holding it."""
 
-    def __init__(self, train: Folksonomy, config: RecommenderConfig, profile_kind: str) -> None:
-        super().__init__(train, config, build_user_vectors(train, profile_kind))
-        self.profile_kind = profile_kind
-        self.tag = "CF_B" if profile_kind == BINARY_ITEM else "CF_T"
+    def __init__(self, train: Folksonomy, t_ref: Mapping[int, int], config: RecommenderConfig) -> None:
+        profile_kind = {"CF_B": BINARY_ITEM, "CF_T": TAG_PROFILE}[config.algorithm]
+        super().__init__(train, t_ref, config, build_user_vectors(train, profile_kind))
 
-    def recommend(self, user: int, n: Optional[int] = None) -> RankedList:
-        n = self._list_length(n)
-        _, contrib = self.candidates(user)
-        scored = [
-            (item, math.fsum(sim for _, sim in pairs))
-            for item, pairs in sorted(contrib.items())
-        ]
-        return _ranked(user, scored, n)
+    def scores(self, user: int, contrib: Mapping[int, List[Tuple[int, float]]]) -> Mapping[int, float]:
+        return {item: math.fsum(sim for _, sim in pairs) for item, pairs in contrib.items()}
 
 
 class Cirtt(_NeighborhoodRecommender):
@@ -182,33 +190,30 @@ class Cirtt(_NeighborhoodRecommender):
     overlap score zero and fall back to the item-similarity order.
     """
 
-    tag = "CIRTT"
-
     def __init__(self, train: Folksonomy, t_ref: Mapping[int, int], config: RecommenderConfig) -> None:
-        super().__init__(train, config, build_user_vectors(train, BINARY_ITEM))
-        self.t_ref = t_ref
+        super().__init__(train, t_ref, config, build_user_vectors(train, BINARY_ITEM))
         self.item_vectors = item_tagger_vectors(train)
 
     def item_similarity(self, user: int, item: int) -> float:
         """Summed cosine between the candidate's and the user's item columns."""
         return summed_item_cosines(self.item_vectors, self.train.items_of_user(user), (item,))[item]
 
-    def recommend(self, user: int, n: Optional[int] = None) -> RankedList:
-        n = self._list_length(n)
+    def ranking(self, user: int) -> Iterable[Tuple[int, float]]:
+        # ties in the prediction break by item similarity before item id,
+        # so this overrides the shared (score, item) sort
         _, contrib = self.candidates(user)
         if not contrib:
-            return RankedList(user=user, entries=())
+            return ()
         try:
             profile = build_bll_profile(self.train, user, self.t_ref[user], self.config.bll)
         except (NoProfileError, KeyError):
-            return RankedList(user=user, entries=())
-        sims = summed_item_cosines(self.item_vectors, self.train.items_of_user(user), sorted(contrib))
-        scored = []
-        for item, sim in sims.items():
-            activation = bll_item(profile, self.train.item_tags(item))
-            scored.append((item, sim * activation, sim))
-        scored.sort(key=lambda entry: (-entry[1], -entry[2], entry[0]))
-        return RankedList(user=user, entries=tuple((item, pred) for item, pred, _ in scored[:n]))
+            return ()
+        sims = summed_item_cosines(self.item_vectors, self.train.items_of_user(user), contrib)
+        scored = sorted(
+            ((item, sim * bll_item(profile, self.train.item_tags(item)), sim) for item, sim in sims.items()),
+            key=lambda entry: (-entry[1], -entry[2], entry[0]),
+        )
+        return ((item, pred) for item, pred, _ in scored)
 
 
 class ExpDecayCF(_NeighborhoodRecommender):
@@ -220,8 +225,6 @@ class ExpDecayCF(_NeighborhoodRecommender):
     whose decay underflows to 0.0 is left out of the user vectors (it adds
     nothing to a dot product) and adds an exact 0.0 to a score.
     """
-
-    tag = "Z"
 
     def __init__(self, train: Folksonomy, t_ref: Mapping[int, int], config: RecommenderConfig) -> None:
         self._weights: Dict[int, Dict[int, float]] = {}
@@ -235,16 +238,13 @@ class ExpDecayCF(_NeighborhoodRecommender):
             user: SparseVector({item: w for item, w in row.items() if w > 0.0})
             for user, row in self._weights.items()
         }
-        super().__init__(train, config, vectors)
+        super().__init__(train, t_ref, config, vectors)
 
-    def recommend(self, user: int, n: Optional[int] = None) -> RankedList:
-        n = self._list_length(n)
-        _, contrib = self.candidates(user)
-        scored = [
-            (item, math.fsum(sim * self._weights[neighbor][item] for neighbor, sim in pairs))
-            for item, pairs in sorted(contrib.items())
-        ]
-        return _ranked(user, scored, n)
+    def scores(self, user: int, contrib: Mapping[int, List[Tuple[int, float]]]) -> Mapping[int, float]:
+        return {
+            item: math.fsum(sim * self._weights[neighbor][item] for neighbor, sim in pairs)
+            for item, pairs in contrib.items()
+        }
 
 
 class LinearDecayTagCF(_NeighborhoodRecommender):
@@ -258,14 +258,12 @@ class LinearDecayTagCF(_NeighborhoodRecommender):
     tag vectors of the candidate and of the user's own items.
     """
 
-    tag = "H"
-
     def __init__(self, train: Folksonomy, t_ref: Mapping[int, int], config: RecommenderConfig) -> None:
         vectors = {
             user: SparseVector(self._weighted_tag_profile(train, user, t_ref[user], config.floor))
             for user in train.users()
         }
-        super().__init__(train, config, vectors)
+        super().__init__(train, t_ref, config, vectors)
         self.item_vectors = item_tag_vectors(train)
 
     @staticmethod
@@ -286,11 +284,18 @@ class LinearDecayTagCF(_NeighborhoodRecommender):
                 profile[tag] = weight
         return profile
 
-    def recommend(self, user: int, n: Optional[int] = None) -> RankedList:
-        n = self._list_length(n)
-        _, contrib = self.candidates(user)
-        scores = summed_item_cosines(self.item_vectors, self.train.items_of_user(user), sorted(contrib))
-        return _ranked(user, list(scores.items()), n)
+    def scores(self, user: int, contrib: Mapping[int, List[Tuple[int, float]]]) -> Mapping[int, float]:
+        return summed_item_cosines(self.item_vectors, self.train.items_of_user(user), contrib)
+
+
+_CLASSES = {
+    "MP": MostPopular,
+    "CF_B": UserBasedCF,
+    "CF_T": UserBasedCF,
+    "Z": ExpDecayCF,
+    "H": LinearDecayTagCF,
+    "CIRTT": Cirtt,
+}
 
 
 def build_recommender(
@@ -299,17 +304,4 @@ def build_recommender(
     config: RecommenderConfig,
 ) -> Recommender:
     """Instantiate the algorithm named by config.algorithm."""
-    tag = config.algorithm
-    if tag == "MP":
-        return MostPopular(train, config)
-    if tag == "CF_B":
-        return UserBasedCF(train, config, BINARY_ITEM)
-    if tag == "CF_T":
-        return UserBasedCF(train, config, TAG_PROFILE)
-    if tag == "Z":
-        return ExpDecayCF(train, t_ref, config)
-    if tag == "H":
-        return LinearDecayTagCF(train, t_ref, config)
-    if tag == "CIRTT":
-        return Cirtt(train, t_ref, config)
-    raise ConfigError(f"unknown algorithm tag {tag!r}")
+    return _CLASSES[config.algorithm](train, t_ref, config)

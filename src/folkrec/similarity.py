@@ -26,7 +26,6 @@ from __future__ import annotations
 import bisect
 import math
 import weakref
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -35,7 +34,6 @@ from .model import Folksonomy
 
 BINARY_ITEM = "binary-item"
 TAG_PROFILE = "tag-profile"
-PROFILE_KINDS = (BINARY_ITEM, TAG_PROFILE)
 
 
 class SparseVector:
@@ -92,14 +90,6 @@ def cosine(a: SparseVector, b: SparseVector) -> float:
         return 0.0
     value = a.dot(b) / (a.norm * b.norm)
     return max(0.0, min(1.0, value))
-
-
-@dataclass(frozen=True)
-class Neighborhood:
-    """At most k most similar users, similarity descending, user id breaking ties."""
-
-    target: int
-    neighbors: Tuple[Tuple[int, float], ...]
 
 
 def binary_item_vector(train: Folksonomy, user: int) -> SparseVector:
@@ -234,14 +224,11 @@ class UserIndex:
                 postings.setdefault(dim, []).append((user, w))
         self._postings = {dim: tuple(entry) for dim, entry in postings.items()}
 
-    def vector(self, user: int) -> SparseVector:
-        return self._vectors[user]
+    def top_k(self, user: int, k: int) -> Tuple[Tuple[int, float], ...]:
+        """The k most cosine-similar users as (user, similarity) pairs.
 
-    def __contains__(self, user: int) -> bool:
-        return user in self._vectors
-
-    def top_k(self, user: int, k: int) -> Neighborhood:
-        """The k most cosine-similar users, zero-similarity users excluded.
+        Similarity descends, user id breaks ties, zero-similarity users are
+        excluded.
 
         Raises NoProfileError when the target has no (or an empty) vector;
         callers typically skip such users, which feeds the coverage metric.
@@ -263,7 +250,7 @@ class UserIndex:
             if sim > 0.0:
                 scored.append((other, sim))
         scored.sort(key=lambda entry: (-entry[1], entry[0]))
-        return Neighborhood(target=user, neighbors=tuple(scored[:k]))
+        return tuple(scored[:k])
 
 
 def build_user_vectors(train: Folksonomy, profile_kind: str) -> Dict[int, SparseVector]:

@@ -56,17 +56,17 @@ CONFIGS = [
 
 def oracle_ranking(tag, train, t_ref, user, config):
     if tag == "MP":
-        return o_mp(train, user, config.n)
+        return o_mp(train, user, K_MAX)
     if tag == "CF_B":
-        return o_cf(train, user, config.k, config.n, binary=True)
+        return o_cf(train, user, config.k, K_MAX, binary=True)
     if tag == "CF_T":
-        return o_cf(train, user, config.k, config.n, binary=False)
+        return o_cf(train, user, config.k, K_MAX, binary=False)
     if tag == "Z":
-        return o_zheng(train, t_ref, user, config.k, config.n, config.t0_seconds)
+        return o_zheng(train, t_ref, user, config.k, K_MAX, config.t0_seconds)
     if tag == "H":
-        return o_huang(train, t_ref, user, config.k, config.n, config.floor)
+        return o_huang(train, t_ref, user, config.k, K_MAX, config.floor)
     if tag == "CIRTT":
-        return o_cirtt(train, t_ref, user, config.k, config.n, config.bll.d)
+        return o_cirtt(train, t_ref, user, config.k, K_MAX, config.bll.d)
     raise ValueError(tag)
 
 

@@ -54,15 +54,15 @@ def test_criterion_1_all_algorithms_match_brute_force_oracles():
         t_ref = reference_times(f)
         k, n = rng.choice([(5, 10), (20, 20), (3, 20)])
         oracle_by_tag = {
-            "MP": lambda u, c: o_mp(f, u, c.n),
-            "CF_B": lambda u, c: o_cf(f, u, c.k, c.n, binary=True),
-            "CF_T": lambda u, c: o_cf(f, u, c.k, c.n, binary=False),
-            "Z": lambda u, c: o_zheng(f, t_ref, u, c.k, c.n, c.t0_seconds),
-            "H": lambda u, c: o_huang(f, t_ref, u, c.k, c.n, c.floor),
-            "CIRTT": lambda u, c: o_cirtt(f, t_ref, u, c.k, c.n, c.bll.d),
+            "MP": lambda u, c: o_mp(f, u, n),
+            "CF_B": lambda u, c: o_cf(f, u, c.k, n, binary=True),
+            "CF_T": lambda u, c: o_cf(f, u, c.k, n, binary=False),
+            "Z": lambda u, c: o_zheng(f, t_ref, u, c.k, n, c.t0_seconds),
+            "H": lambda u, c: o_huang(f, t_ref, u, c.k, n, c.floor),
+            "CIRTT": lambda u, c: o_cirtt(f, t_ref, u, c.k, n, c.bll.d),
         }
         for tag in ALGORITHMS:
-            config = RecommenderConfig(tag, k=k, n=n)
+            config = RecommenderConfig(tag, k=k)
             recommender = build_recommender(f, t_ref, config)
             for u in f.users():
                 got = recommender.recommend(u, n).entries

@@ -88,7 +88,7 @@ def test_profile_of_single_tag_user():
     f = folksonomy_from_rows([("u", "r1", "only", 50), ("u", "r2", "only", 80)])
     u = f.vocab.users.id_of("u")
     profile = build_bll_profile(f, u, t_ref=100, params=BllParams())
-    assert list(profile.values.values()) == [pytest.approx(1.0)]
+    assert list(profile.values()) == [pytest.approx(1.0)]
 
 
 def test_profile_two_tags_forty_sixty():
@@ -104,8 +104,8 @@ def test_profile_two_tags_forty_sixty():
     u = f.vocab.users.id_of("u")
     profile = build_bll_profile(f, u, t_ref=1000, params=BllParams())
     a, b = f.vocab.tags.id_of("a"), f.vocab.tags.id_of("b")
-    assert profile.values[a] == pytest.approx(0.4, abs=1e-12)
-    assert profile.values[b] == pytest.approx(0.6, abs=1e-12)
+    assert profile[a] == pytest.approx(0.4, abs=1e-12)
+    assert profile[b] == pytest.approx(0.6, abs=1e-12)
 
 
 def test_profile_time_translation_invariance():
@@ -118,7 +118,7 @@ def test_profile_time_translation_invariance():
         f = folksonomy_from_rows(rows)
         u = f.vocab.users.id_of("u")
         profile = build_bll_profile(f, u, t_ref=6000 + shift, params=BllParams())
-        by_label = {f.vocab.tags.label_of(t): v for t, v in profile.values.items()}
+        by_label = {f.vocab.tags.label_of(t): v for t, v in profile.items()}
         if shift == 0:
             reference = by_label
         else:
@@ -137,9 +137,9 @@ def test_profile_values_sum_to_one_and_cover_all_train_tags():
         u = f.vocab.users.id_of("u")
         profile = build_bll_profile(f, u, t_ref=1000, params=BllParams())
         used = set(f.tag_use_times(u))
-        assert set(profile.values) == used
-        assert math.fsum(profile.values.values()) == pytest.approx(1.0, abs=1e-9)
-        assert all(0.0 < v <= 1.0 for v in profile.values.values())
+        assert set(profile) == used
+        assert math.fsum(profile.values()) == pytest.approx(1.0, abs=1e-9)
+        assert all(0.0 < v <= 1.0 for v in profile.values())
 
 
 def test_missing_user_raises_no_profile(small_folksonomy):
@@ -183,7 +183,7 @@ def test_item_activation_monotone_in_overlap(extra_tags):
     )
     u = f.vocab.users.id_of("u")
     profile = build_bll_profile(f, u, t_ref=2000, params=BllParams())
-    tag_ids = sorted(profile.values)
+    tag_ids = sorted(profile)
     base = frozenset(tag_ids[:2])
     wider = base | {tag_ids[t] for t in extra_tags}
     assert bll_item(profile, wider) >= bll_item(profile, base) - 1e-15

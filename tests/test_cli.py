@@ -56,6 +56,28 @@ def test_ingest_reports_malformed_lines(workdir, capsys):
     assert "malformed line 62" in err
 
 
+@pytest.mark.parametrize("source", ["dump", "snapshot"])
+def test_non_utf8_input_is_data_error(workdir, capsys, source):
+    config = workdir / "mini_config.yaml"
+    data = workdir / "mini.tsv"
+    if source == "snapshot":
+        assert run_cli("ingest", "--config", config) == EXIT_OK
+        config = workdir / "snap_config.yaml"
+        config.write_text("snapshot: out/snapshot.tsv\nalgorithms: [MP]\n")
+        data = workdir / "out" / "snapshot.tsv"
+    lines = data.read_bytes().splitlines(keepends=True)
+    lines.insert(5, "u01\tr99\tcaf\u00e9\t1000\n".encode("latin-1"))
+    data.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    code = run_cli("run", "--config", config, "--out", workdir / "r")
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("data error:")
+    assert f"{data} line 6 " in err
+    assert "Traceback" not in err
+    assert not (workdir / "r").exists()
+
+
 def test_missing_dataset_is_io_error(workdir, capsys):
     os.remove(workdir / "mini.tsv")
     code = run_cli("ingest", "--config", workdir / "mini_config.yaml")
@@ -73,6 +95,13 @@ def test_unknown_algorithm_is_config_error_before_compute(workdir, capsys):
 def test_invalid_yaml_is_config_error(workdir, capsys):
     (workdir / "mini_config.yaml").write_text("algorithms: [unclosed\n")
     assert run_cli("run", "--config", workdir / "mini_config.yaml") == EXIT_CONFIG
+
+
+def test_non_utf8_config_is_config_error(workdir, capsys):
+    with open(workdir / "mini_config.yaml", "ab") as fh:
+        fh.write("# caf\u00e9\n".encode("latin-1"))
+    assert run_cli("run", "--config", workdir / "mini_config.yaml") == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_unknown_config_key_is_config_error(workdir, capsys):
@@ -97,6 +126,7 @@ def test_unknown_config_key_is_config_error(workdir, capsys):
         ("  sample_fraction: 1.0", "  sample_fraction: 1.0\n  blacklist: [bibtex-import, 7]"),
         ('  delimiter: "\\t"', "  delimiter: 1"),
         ("  timestamp_format: epoch", "  timestamp_format: 5"),
+        ("  - algorithm: MP", "  - algorithm: MP\n    n: 5"),  # lists are K_MAX long
     ],
 )
 def test_bad_config_value_is_config_error(workdir, capsys, line, mistake):
@@ -196,6 +226,20 @@ def test_plotdata_series_round_trip(workdir, capsys):
 
 def test_plotdata_missing_report_is_io_error(workdir, capsys):
     assert run_cli("plotdata", workdir / "nowhere") == EXIT_IO
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", "{}", '{"dataset_fingerprint": "f", "config_hash": "h", "algorithms": {"MP": {}}}'],
+)
+def test_plotdata_bad_summary_is_data_error(workdir, capsys, text):
+    (workdir / "summary.json").write_text(text)
+    code = run_cli("plotdata", workdir)
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("data error:")
+    assert "Traceback" not in err
+    assert not (workdir / "plotdata").exists()
 
 
 def test_recommend_emits_user_item_rank_score(workdir, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -305,7 +306,7 @@ def test_full_run_matches_oracle_golden_files(tmp_path):
     write_reports(report, str(tmp_path))
     for name in ("report.txt", "metrics.csv", "summary.json"):
         got = (tmp_path / name).read_bytes()
-        want = open(os.path.join(HERE, "data", "golden", name), "rb").read()
+        want = Path(HERE, "data", "golden", name).read_bytes()
         assert got == want, f"{name} deviates from golden"
 
 
@@ -314,7 +315,7 @@ def test_config_hash_tracks_settings_not_plumbing():
     base = run_experiment(folksonomy, [RecommenderConfig("MP")], seed=0)
     same = run_experiment(folksonomy, [RecommenderConfig("MP")], seed=0, workers=2)
     other_seed = run_experiment(folksonomy, [RecommenderConfig("MP")], seed=1)
-    other_algo = run_experiment(folksonomy, [RecommenderConfig("MP", n=5)], seed=0)
+    other_algo = run_experiment(folksonomy, [RecommenderConfig("MP", k=5)], seed=0)
     assert base.config_hash == same.config_hash
     assert base.config_hash != other_seed.config_hash
     assert base.config_hash != other_algo.config_hash

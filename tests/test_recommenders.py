@@ -11,6 +11,7 @@ from folkrec.errors import ConfigError
 from folkrec.ingest import DatasetSpec, run_pipeline
 from folkrec.recommenders import (
     ALGORITHMS,
+    K_MAX,
     Cirtt,
     ExpDecayCF,
     LinearDecayTagCF,
@@ -19,7 +20,6 @@ from folkrec.recommenders import (
     UserBasedCF,
     build_recommender,
 )
-from folkrec.similarity import BINARY_ITEM, TAG_PROFILE
 from folkrec.split import chronological_split, reference_times
 
 from conftest import folksonomy_from_rows, random_folksonomy
@@ -33,8 +33,6 @@ def test_config_validation():
         RecommenderConfig("nonsense")
     with pytest.raises(ConfigError):
         RecommenderConfig("MP", k=0)
-    with pytest.raises(ConfigError):
-        RecommenderConfig("MP", n=0)
     with pytest.raises(ConfigError):
         RecommenderConfig("Z", t0_seconds=0.0)
     with pytest.raises(ConfigError):
@@ -52,7 +50,7 @@ def test_mp_counts_and_exclusion():
         ("d", "i3", "t", 6),
     ]
     f = folksonomy_from_rows(rows)
-    mp = MostPopular(f, RecommenderConfig("MP"))
+    mp = MostPopular(f, reference_times(f), RecommenderConfig("MP"))
     d = f.vocab.users.id_of("d")
     got = [(f.vocab.items.label_of(i), s) for i, s in mp.recommend(d).entries]
     assert got == [("i2", 3.0), ("i1", 2.0)]
@@ -66,7 +64,7 @@ def test_mp_ties_break_by_item_id():
     rows = [("a", "x", "t", 1), ("b", "x", "t", 2), ("a", "y", "t", 3), ("b", "y", "t", 4), ("z", "q", "t", 5)]
     f = folksonomy_from_rows(rows)
     z = f.vocab.users.id_of("z")
-    entries = MostPopular(f, RecommenderConfig("MP")).recommend(z).entries
+    entries = MostPopular(f, reference_times(f), RecommenderConfig("MP")).recommend(z).entries
     ids = [i for i, s in entries if s == 2.0]
     assert ids == sorted(ids)
 
@@ -83,7 +81,7 @@ def test_cf_additive_scoring_beats_single_strong_neighbor():
         ("m2", "c", "t", 12), ("m2", "d", "t", 13), ("m2", "i_pair", "t", 14),
     ]
     f = folksonomy_from_rows(rows)
-    cf = UserBasedCF(f, RecommenderConfig("CF_B"), BINARY_ITEM)
+    cf = UserBasedCF(f, reference_times(f), RecommenderConfig("CF_B"))
     u = f.vocab.users.id_of("u")
     entries = {f.vocab.items.label_of(i): s for i, s in cf.recommend(u).entries}
     sim_strong = 3 / math.sqrt(4 * 4)
@@ -105,8 +103,8 @@ def test_cf_b_and_cf_t_diverge_on_shared_tags_without_shared_items():
     ]
     f = folksonomy_from_rows(rows)
     u = f.vocab.users.id_of("u")
-    cf_b = UserBasedCF(f, RecommenderConfig("CF_B"), BINARY_ITEM).recommend(u)
-    cf_t = UserBasedCF(f, RecommenderConfig("CF_T"), TAG_PROFILE).recommend(u)
+    cf_b = UserBasedCF(f, reference_times(f), RecommenderConfig("CF_B")).recommend(u)
+    cf_t = UserBasedCF(f, reference_times(f), RecommenderConfig("CF_T")).recommend(u)
     b_items = {f.vocab.items.label_of(i) for i, _ in cf_b.entries}
     t_items = {f.vocab.items.label_of(i) for i, _ in cf_t.entries}
     assert "i3" in t_items and "i4" in t_items
@@ -120,7 +118,7 @@ def test_cirtt_candidates_equal_cf_b_candidates():
         t_ref = reference_times(f)
         config = RecommenderConfig("CIRTT", k=5)
         cirtt = Cirtt(f, t_ref, config)
-        cf = UserBasedCF(f, RecommenderConfig("CF_B", k=5), BINARY_ITEM)
+        cf = UserBasedCF(f, t_ref, RecommenderConfig("CF_B", k=5))
         for u in f.users():
             _, a = cirtt.candidates(u)
             _, b = cf.candidates(u)
@@ -258,12 +256,12 @@ def test_huang_floor_lifts_early_uses():
 
 
 ORACLES = {
-    "MP": lambda f, t_ref, u, cfg: o_mp(f, u, cfg.n),
-    "CF_B": lambda f, t_ref, u, cfg: o_cf(f, u, cfg.k, cfg.n, binary=True),
-    "CF_T": lambda f, t_ref, u, cfg: o_cf(f, u, cfg.k, cfg.n, binary=False),
-    "Z": lambda f, t_ref, u, cfg: o_zheng(f, t_ref, u, cfg.k, cfg.n, cfg.t0_seconds),
-    "H": lambda f, t_ref, u, cfg: o_huang(f, t_ref, u, cfg.k, cfg.n, cfg.floor),
-    "CIRTT": lambda f, t_ref, u, cfg: o_cirtt(f, t_ref, u, cfg.k, cfg.n, cfg.bll.d),
+    "MP": lambda f, t_ref, u, cfg, n: o_mp(f, u, n),
+    "CF_B": lambda f, t_ref, u, cfg, n: o_cf(f, u, cfg.k, n, binary=True),
+    "CF_T": lambda f, t_ref, u, cfg, n: o_cf(f, u, cfg.k, n, binary=False),
+    "Z": lambda f, t_ref, u, cfg, n: o_zheng(f, t_ref, u, cfg.k, n, cfg.t0_seconds),
+    "H": lambda f, t_ref, u, cfg, n: o_huang(f, t_ref, u, cfg.k, n, cfg.floor),
+    "CIRTT": lambda f, t_ref, u, cfg, n: o_cirtt(f, t_ref, u, cfg.k, n, cfg.bll.d),
 }
 
 
@@ -272,11 +270,11 @@ def test_algorithms_match_brute_force_oracle(tag):
     for seed in (0, 1, 2):
         f = random_folksonomy(seed, n_users=18, n_items=22, n_tags=8, n_posts=80)
         t_ref = reference_times(f)
-        config = RecommenderConfig(tag, k=6, n=10)
+        config = RecommenderConfig(tag, k=6)
         recommender = build_recommender(f, t_ref, config)
         for u in f.users():
             got = recommender.recommend(u, 10).entries
-            expected = ORACLES[tag](f, t_ref, u, config)
+            expected = ORACLES[tag](f, t_ref, u, config, 10)
             assert [i for i, _ in got] == [i for i, _ in expected], (tag, seed, u)
             for (_, gs), (_, es) in zip(got, expected):
                 assert gs == pytest.approx(es, abs=1e-9)
@@ -329,15 +327,17 @@ N_FOLKSONOMY = random_folksonomy(4)
 @given(
     tag=st.sampled_from(ALGORITHMS),
     n=st.one_of(st.none(), st.integers(min_value=-3, max_value=60)),
-    config_n=st.integers(min_value=1, max_value=30),
 )
-def test_list_length_is_n_or_config_n(tag, n, config_n):
+def test_list_length_is_n_or_k_max(tag, n):
     f = N_FOLKSONOMY
-    recommender = build_recommender(f, reference_times(f), RecommenderConfig(tag, n=config_n))
+    recommender = build_recommender(f, reference_times(f), RecommenderConfig(tag))
     for user in f.users()[:5] + [10_000]:
         if n is not None and n < 1:
             with pytest.raises(ConfigError):
                 recommender.recommend(user, n)
             continue
         full = recommender.recommend(user, 10_000).entries
-        assert recommender.recommend(user, n).entries == full[: config_n if n is None else n]
+        if n is None:
+            assert recommender.recommend(user).entries == full[:K_MAX]
+        else:
+            assert recommender.recommend(user, n).entries == full[:n]

@@ -136,7 +136,7 @@ def test_top_k_shared_items_ordering():
     ]
     f = folksonomy_from_rows(rows)
     hood = UserIndex(build_user_vectors(f, BINARY_ITEM)).top_k(f.vocab.users.id_of("u1"), k=5)
-    labels = [f.vocab.users.label_of(u) for u, _ in hood.neighbors]
+    labels = [f.vocab.users.label_of(u) for u, _ in hood]
     assert labels == ["u2", "u3"]
 
 
@@ -149,7 +149,7 @@ def test_top_k_excludes_zero_similarity_users():
     ]
     f = folksonomy_from_rows(rows)
     hood = UserIndex(build_user_vectors(f, BINARY_ITEM)).top_k(f.vocab.users.id_of("u1"), k=10)
-    labels = {f.vocab.users.label_of(u) for u, _ in hood.neighbors}
+    labels = {f.vocab.users.label_of(u) for u, _ in hood}
     assert labels == {"u2"}
 
 
@@ -169,9 +169,9 @@ def test_tie_break_by_user_id():
     ]
     f = folksonomy_from_rows(rows)
     hood = UserIndex(build_user_vectors(f, BINARY_ITEM)).top_k(f.vocab.users.id_of("anna"), k=2)
-    ids = [u for u, _ in hood.neighbors]
+    ids = [u for u, _ in hood]
     assert ids == sorted(ids)
-    sims = [s for _, s in hood.neighbors]
+    sims = [s for _, s in hood]
     assert sims == [1.0, 1.0]
 
 
@@ -187,7 +187,7 @@ def test_index_matches_all_pairs_oracle(kind, oracle_profile):
                 with pytest.raises(NoProfileError):
                     index.top_k(user, 7)
                 continue
-            got = index.top_k(user, 7).neighbors
+            got = index.top_k(user, 7)
             assert [u for u, _ in got] == [u for u, _ in expected]
             for (_, gs), (_, es) in zip(got, expected):
                 assert gs == pytest.approx(es, abs=1e-12)
@@ -199,8 +199,8 @@ def test_ranking_invariant_under_positive_scaling():
     target = sorted(base)[0]
     scaled = dict(base)
     scaled[target] = SparseVector({i: 37.5 * w for i, w in base[target].items()})
-    plain = UserIndex(base).top_k(target, 10).neighbors
-    boosted = UserIndex(scaled).top_k(target, 10).neighbors
+    plain = UserIndex(base).top_k(target, 10)
+    boosted = UserIndex(scaled).top_k(target, 10)
     assert [u for u, _ in plain] == [u for u, _ in boosted]
     for (_, a), (_, b) in zip(plain, boosted):
         assert a == pytest.approx(b, abs=1e-12)
