@@ -34,7 +34,7 @@ from .recommenders import (
     UserBasedCF,
     build_recommender,
 )
-from .similarity import SparseVector, cosine
+from .similarity import SparseVector
 from .split import SplitResult, chronological_split, reference_times
 from .synth import SynthConfig, generate
 
@@ -73,7 +73,6 @@ __all__ = [
     "build_folksonomy",
     "build_recommender",
     "chronological_split",
-    "cosine",
     "diversity",
     "evaluate_algorithm",
     "fingerprint",

@@ -18,16 +18,21 @@ from typing import Dict, Iterable, Mapping, Sequence
 from .errors import ConfigError, NoProfileError
 from .model import Folksonomy
 
+# Largest decay exponent. Up to it d * ln(recency) stays finite for any
+# recency below e**1e8 seconds; near the float maximum it overflows, and an
+# activation below the float range has no finite log.
+MAX_D = 1e300
+
 
 @dataclass(frozen=True)
 class BllParams:
-    """decay exponent d > 0; recencies are measured in seconds."""
+    """decay exponent 0 < d <= MAX_D; recencies are measured in seconds."""
 
     d: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.d > 0.0:
-            raise ConfigError(f"decay exponent must be positive, got {self.d}")
+        if not 0.0 < self.d <= MAX_D:
+            raise ConfigError(f"decay exponent must be in (0, {MAX_D:g}], got {self.d}")
 
 
 def bll_raw(use_timestamps: Sequence[int], t_ref: int, d: float) -> float:

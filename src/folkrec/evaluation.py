@@ -126,10 +126,6 @@ class AlgorithmReport:
     def coverage(self) -> float:
         return self.users_served / self.users_evaluated if self.users_evaluated else 0.0
 
-    def at(self, metric: str, k: int) -> float:
-        series = {"ndcg": self.ndcg, "map": self.map, "recall": self.recall}[metric]
-        return series[k - 1]
-
 
 @dataclass(frozen=True)
 class EvalReport:

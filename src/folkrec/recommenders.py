@@ -70,17 +70,19 @@ class RecommenderConfig:
     k: int = 20
     bll: BllParams = field(default_factory=BllParams)
     t0_seconds: float = 100 * SECONDS_PER_DAY  # e-folding timescale of the Z decay
-    floor: float = 0.0  # minimum per-use weight in the H linear decay
+    floor: float = 0.0  # minimum per-use weight in the H linear decay, in [0, 1]
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm tag {self.algorithm!r}; known: {', '.join(ALGORITHMS)}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if not self.t0_seconds > 0.0:
-            raise ConfigError(f"t0_seconds must be positive, got {self.t0_seconds}")
-        if self.floor < 0.0:
-            raise ConfigError(f"floor must be non-negative, got {self.floor}")
+        if not (math.isfinite(self.t0_seconds) and self.t0_seconds > 0.0):
+            raise ConfigError(f"t0_seconds must be positive and finite, got {self.t0_seconds}")
+        # per-use weights lie in [0, 1]; a floor above 1 would only rescale
+        # every weight alike, and from ~1e154 on their squares overflow
+        if not 0.0 <= self.floor <= 1.0:
+            raise ConfigError(f"floor must be in [0, 1], got {self.floor}")
 
 
 class Recommender:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folkrec.bll import BllParams, bll_item, bll_raw, build_bll_profile, normalize_profile
+from folkrec.bll import MAX_D, BllParams, bll_item, bll_raw, build_bll_profile, normalize_profile
 from folkrec.errors import ConfigError, NoProfileError
 
 from conftest import folksonomy_from_rows
@@ -82,6 +82,10 @@ def test_preconditions():
         BllParams(d=0.0)
     with pytest.raises(ConfigError):
         BllParams(d=-1.0)
+    for d in (math.nan, math.inf, 1.01 * MAX_D):
+        with pytest.raises(ConfigError):
+            BllParams(d=d)
+    assert BllParams(d=MAX_D).d == MAX_D
 
 
 def test_profile_of_single_tag_user():

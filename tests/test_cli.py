@@ -1,11 +1,20 @@
 """Command-line behavior: subcommands, exit codes, output stability."""
 
+import math
 import os
 import shutil
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from folkrec.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
+from folkrec.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, RunConfig, main
+from folkrec.errors import ConfigError
+from folkrec.evaluation import run_experiment
+from folkrec.recommenders import ALGORITHMS, build_recommender
+from folkrec.split import chronological_split
+from folkrec.synth import SynthConfig, generate
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 MINI = os.path.join(HERE, "data", "mini.tsv")
@@ -127,6 +136,10 @@ def test_unknown_config_key_is_config_error(workdir, capsys):
         ('  delimiter: "\\t"', "  delimiter: 1"),
         ("  timestamp_format: epoch", "  timestamp_format: 5"),
         ("  - algorithm: MP", "  - algorithm: MP\n    n: 5"),  # lists are K_MAX long
+        ("    floor: 0.0", "    floor: .nan"),
+        ("    floor: 0.0", "    floor: .inf"),
+        ("    d: 0.5", "    d: .inf"),
+        ("    t0_seconds: 8640000.0", "    t0_seconds: .inf"),
     ],
 )
 def test_bad_config_value_is_config_error(workdir, capsys, line, mistake):
@@ -153,6 +166,39 @@ def test_run_completes_where_decay_underflows(workdir, capsys, line, value):
     assert run_cli("run", "--config", workdir / "mini_config.yaml") == EXIT_OK
     for name in ("report.txt", "metrics.csv", "summary.json"):
         assert (workdir / "out" / name).exists()
+
+
+TINY = generate(SynthConfig(users=30, items=40, tags=20, topics=4, posts_per_user=(5, 8)), seed=0)
+EXTREMES = (math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 1e-300, 1e-6, 0.5, 1.0, 150.0, 1e300, sys.float_info.max)
+extreme_floats = st.one_of(st.sampled_from(EXTREMES), st.floats())
+extreme_ints = st.one_of(st.sampled_from((-1, 0, 1, 2, 20, 2**63)), st.integers())
+
+
+@settings(max_examples=30, deadline=None)
+@given(extreme_floats, extreme_ints, extreme_floats, extreme_floats, extreme_floats)
+@example(0.2, 20, 8640000.0, 0.0, math.inf)
+@example(0.2, 20, math.inf, math.nan, 0.5)
+@example(0.2, 20, 8640000.0, math.inf, 0.5)
+@example(0.2, 20, 0.002, 0.0, 0.5)
+def test_every_config_is_rejected_or_yields_finite_results(split_fraction, k, t0_seconds, floor, d):
+    # each algorithm gets its own config and only its own knob, so one bad
+    # knob does not hide the others
+    knobs = {"Z": {"t0_seconds": t0_seconds}, "H": {"floor": floor}, "CIRTT": {"d": d}}
+    for tag in ALGORITHMS:
+        entry = {"algorithm": tag, "k": k, **knobs.get(tag, {})}
+        raw = {"snapshot": "unused.tsv", "split_fraction": split_fraction, "algorithms": [entry]}
+        try:
+            config = RunConfig(raw, HERE)
+            report = run_experiment(TINY, config.algorithms, config.split_fraction)
+        except ConfigError:
+            continue
+        (result,) = report.algorithms
+        numbers = result.ndcg + result.map + result.recall + (result.diversity, result.coverage)
+        assert all(math.isfinite(x) for x in numbers), (tag, result)
+        split = chronological_split(TINY, config.split_fraction)
+        recommender = build_recommender(split.train, split.t_ref, config.algorithms[0])
+        for user in sorted(split.test):
+            assert all(math.isfinite(score) for _, score in recommender.recommend(user).entries), (tag, user)
 
 
 def test_run_writes_all_three_reports(workdir, capsys):

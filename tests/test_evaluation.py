@@ -23,10 +23,11 @@ from folkrec.evaluation import (
 )
 from folkrec.ingest import DatasetSpec, run_pipeline
 from folkrec.recommenders import RecommenderConfig, build_recommender
-from folkrec.similarity import SparseVector, cosine, item_tagger_vectors
+from folkrec.similarity import SparseVector, item_tagger_vectors
 from folkrec.split import chronological_split
 
 from conftest import random_folksonomy
+from oracles import o_cosine
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -148,9 +149,8 @@ def reference_diversity(recommended, item_vectors):
     m = len(recommended)
     if m < 2:
         return 0.0
-    empty = SparseVector({})
-    vectors = [item_vectors.get(item, empty) for item in recommended]
-    distances = [1.0 - cosine(vectors[a], vectors[b]) for a in range(m) for b in range(a + 1, m)]
+    vectors = [dict(item_vectors[item].items()) if item in item_vectors else {} for item in recommended]
+    distances = [1.0 - o_cosine(vectors[a], vectors[b]) for a in range(m) for b in range(a + 1, m)]
     return math.fsum(distances) / (m * (m - 1) / 2)
 
 

@@ -23,7 +23,7 @@ from folkrec.recommenders import (
 from folkrec.split import chronological_split, reference_times
 
 from conftest import folksonomy_from_rows, random_folksonomy
-from oracles import o_cf, o_cirtt, o_huang, o_mp, o_zheng
+from oracles import o_cf, o_cirtt, o_cosine, o_huang, o_item_taggers, o_mp, o_zheng
 
 MINI = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "mini.tsv")
 
@@ -37,6 +37,10 @@ def test_config_validation():
         RecommenderConfig("Z", t0_seconds=0.0)
     with pytest.raises(ConfigError):
         RecommenderConfig("H", floor=-0.1)
+    for bad in ({"t0_seconds": math.inf}, {"t0_seconds": math.nan}, {"floor": math.nan}, {"floor": 1.5}):
+        with pytest.raises(ConfigError):
+            RecommenderConfig("H", **bad)
+    assert RecommenderConfig("H", floor=1.0).floor == 1.0
     assert set(ALGORITHMS) == {"MP", "CF_B", "CF_T", "Z", "H", "CIRTT"}
 
 
@@ -123,6 +127,17 @@ def test_cirtt_candidates_equal_cf_b_candidates():
             _, a = cirtt.candidates(u)
             _, b = cf.candidates(u)
             assert set(a) == set(b)
+
+
+def test_cirtt_item_similarity_equals_oracle_summed_cosine():
+    for seed in range(3):
+        f = random_folksonomy(seed, n_users=20, n_items=25, n_posts=90)
+        cirtt = Cirtt(f, reference_times(f), RecommenderConfig("CIRTT", k=5))
+        columns = {item: o_item_taggers(f, item) for item in f.items()}
+        for u in f.users():
+            for item in f.items():
+                expected = math.fsum(o_cosine(columns[item], columns[j]) for j in f.items_of_user(u))
+                assert cirtt.item_similarity(u, item) == expected
 
 
 def test_cirtt_zero_overlap_candidates_rank_below_positive():
@@ -220,6 +235,18 @@ def test_zheng_underflowing_decay_matches_oracle():
         assert [i for i, _ in got] == [i for i, _ in expected], u
         for (_, gs), (_, es) in zip(got, expected):
             assert gs == pytest.approx(es, abs=1e-9)
+
+
+def test_zheng_weights_whose_squares_underflow_match_oracle():
+    # at t0 = 2 ms a user's newest post, 1 s before t_ref, weighs e**-500:
+    # positive, but its square and so the row's norm underflow to 0.0
+    f = random_folksonomy(0)
+    split = chronological_split(f, 0.2)
+    z = build_recommender(split.train, split.t_ref, RecommenderConfig("Z", k=20, t0_seconds=0.002))
+    assert any(w > 0.0 and w * w == 0.0 for row in z._weights.values() for w in row.values())
+    for u in split.train.users():
+        expected = o_zheng(split.train, split.t_ref, u, 20, 20, 0.002)
+        assert list(z.recommend(u, 20).entries) == expected, u
 
 
 def test_huang_weight_endpoints():

@@ -1,4 +1,4 @@
-"""Sparse vectors, cosine, and neighborhood search against the all-pairs oracle."""
+"""Sparse vectors, the postings kernel, and neighborhood search against the all-pairs oracle."""
 
 import math
 import random
@@ -11,17 +11,14 @@ from folkrec.errors import NoProfileError
 from folkrec.similarity import (
     BINARY_ITEM,
     TAG_PROFILE,
+    Postings,
     SparseVector,
     UserIndex,
-    binary_item_vector,
     build_user_vectors,
-    cosine,
     item_tag_vectors,
-    item_tagger_vector,
     item_tagger_vectors,
     overlapping_pair_cosines,
     summed_item_cosines,
-    tag_profile_vector,
 )
 
 from conftest import folksonomy_from_rows, random_folksonomy
@@ -33,13 +30,32 @@ finite_weights = st.dictionaries(
     max_size=12,
 )
 
+integer_vectors = st.dictionaries(
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=1, max_value=40).map(float),
+    max_size=8,
+)
+
+
+def ref_cosine(a, b):
+    """The oracle's cosine of two SparseVectors: fsum dot, fsum norms, clamp."""
+    return o_cosine(dict(a.items()), dict(b.items()))
+
+
+def kernel_cosine(a, b):
+    """The library's cosine of two vectors: one candidate against one owned item."""
+    return summed_item_cosines({0: a, 1: b}, [1], [0])[0]
+
 
 def test_sparse_vector_basics():
     v = SparseVector({3: 2.0, 1: 1.0})
     assert v.ids == (1, 3)
-    assert v.get(3) == 2.0
-    assert v.get(2) == 0.0
+    assert dict(v.items()) == {1: 1.0, 3: 2.0}
+    assert len(v) == 2
     assert math.isclose(v.norm, math.sqrt(5.0), rel_tol=1e-12)
+    assert v.integral
+    assert not SparseVector({1: 1.0, 2: 0.5}).integral
+    assert SparseVector({}).integral
 
 
 def test_sparse_vector_rejects_nonpositive_weights():
@@ -59,7 +75,7 @@ def test_cached_norm_matches_recomputation(weights):
 def test_binary_item_vector_examples(small_folksonomy):
     f = small_folksonomy
     dave = f.vocab.users.id_of("dave")
-    v = binary_item_vector(f, dave)
+    v = build_user_vectors(f, BINARY_ITEM)[dave]
     assert set(v.ids) == set(f.items_of_user(dave))
     assert set(v.weights) == {1.0}
     assert v.norm == pytest.approx(math.sqrt(2))
@@ -75,51 +91,51 @@ def test_tag_profile_vector_counts():
         ]
     )
     u = f.vocab.users.id_of("u")
-    v = tag_profile_vector(f, u)
+    v = build_user_vectors(f, TAG_PROFILE)[u]
     web, java = f.vocab.tags.id_of("web"), f.vocab.tags.id_of("java")
-    assert v.get(web) == 3.0
-    assert v.get(java) == 1.0
+    assert dict(v.items()) == {web: 3.0, java: 1.0}
 
 
 def test_item_tagger_vector(small_folksonomy):
     f = small_folksonomy
     r1 = f.vocab.items.id_of("r1")
-    v = item_tagger_vector(f, r1)
+    v = item_tagger_vectors(f)[r1]
     assert set(v.ids) == {f.vocab.users.id_of("alice"), f.vocab.users.id_of("bob")}
     assert set(v.weights) == {1.0}
 
 
 def test_cosine_identical_vectors_is_one():
     v = SparseVector({1: 2.0, 5: 3.0})
-    assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
+    assert kernel_cosine(v, v) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cosine_disjoint_supports_is_zero():
-    assert cosine(SparseVector({1: 1.0}), SparseVector({2: 1.0})) == 0.0
+    assert kernel_cosine(SparseVector({1: 1.0}), SparseVector({2: 1.0})) == 0.0
 
 
 def test_cosine_handles_empty():
-    assert cosine(SparseVector({}), SparseVector({1: 1.0})) == 0.0
+    assert kernel_cosine(SparseVector({}), SparseVector({1: 1.0})) == 0.0
+    assert kernel_cosine(SparseVector({1: 1.0}), SparseVector({})) == 0.0
 
 
 def test_cosine_hand_example():
     a = SparseVector({1: 1.0, 2: 1.0})
     b = SparseVector({1: 1.0, 3: 1.0})
-    assert cosine(a, b) == pytest.approx(0.5, abs=1e-12)
+    assert kernel_cosine(a, b) == pytest.approx(0.5, abs=1e-12)
 
 
 @given(finite_weights, finite_weights)
 def test_cosine_symmetry_and_range(wa, wb):
     a, b = SparseVector(wa), SparseVector(wb)
-    assert cosine(a, b) == pytest.approx(cosine(b, a), abs=1e-12)
-    assert 0.0 <= cosine(a, b) <= 1.0
+    assert kernel_cosine(a, b) == pytest.approx(kernel_cosine(b, a), abs=1e-12)
+    assert 0.0 <= kernel_cosine(a, b) <= 1.0
 
 
 @given(finite_weights, finite_weights, st.floats(min_value=1e-3, max_value=1e3))
 def test_cosine_scale_invariance(wa, wb, c):
     a, b = SparseVector(wa), SparseVector(wb)
     scaled = SparseVector({i: c * w for i, w in wa.items()})
-    assert cosine(scaled, b) == pytest.approx(cosine(a, b), abs=1e-12)
+    assert kernel_cosine(scaled, b) == pytest.approx(kernel_cosine(a, b), abs=1e-12)
 
 
 def test_top_k_shared_items_ordering():
@@ -159,6 +175,11 @@ def test_top_k_raises_for_missing_profile(small_folksonomy):
         index.top_k(999, 5)
     with pytest.raises(ValueError):
         index.top_k(0, 0)
+    # 1e-200 squared underflows: a norm of 0.0 gives no cosine either way
+    tiny = UserIndex({1: SparseVector({5: 1e-200}), 2: SparseVector({5: 1.0})})
+    with pytest.raises(NoProfileError):
+        tiny.top_k(1, 5)
+    assert tiny.top_k(2, 5) == ()
 
 
 def test_tie_break_by_user_id():
@@ -207,18 +228,22 @@ def test_ranking_invariant_under_positive_scaling():
 
 
 def test_oracle_cosine_agrees_with_real_cosine():
+    # exact: the oracle's fsum dot and fsum norms are what the kernel computes
     rng = random.Random(0)
     for _ in range(200):
         wa = {rng.randrange(20): rng.uniform(0.1, 5) for _ in range(rng.randrange(1, 8))}
         wb = {rng.randrange(20): rng.uniform(0.1, 5) for _ in range(rng.randrange(1, 8))}
-        assert cosine(SparseVector(wa), SparseVector(wb)) == pytest.approx(o_cosine(wa, wb), abs=1e-12)
+        assert kernel_cosine(SparseVector(wa), SparseVector(wb)) == o_cosine(wa, wb)
+        wa = {i: float(round(w)) + 1.0 for i, w in wa.items()}
+        assert kernel_cosine(SparseVector(wa), SparseVector(wb)) == o_cosine(wa, wb)
 
 
 def test_item_tagger_oracle_agreement(small_folksonomy):
     f = small_folksonomy
+    vectors = item_tagger_vectors(f)
+    assert sorted(vectors) == sorted(f.items())
     for item in f.items():
-        v = item_tagger_vector(f, item)
-        assert dict(v.items()) == o_item_taggers(f, item)
+        assert dict(vectors[item].items()) == o_item_taggers(f, item)
 
 
 def binary_search_dot(a, b):
@@ -239,22 +264,59 @@ def binary_search_dot(a, b):
     return math.fsum(terms)
 
 
-@given(finite_weights, finite_weights)
-def test_dot_equals_binary_search_reference(wa, wb):
-    a, b = SparseVector(wa), SparseVector(wb)
-    assert a.dot(b) == binary_search_dot(a, b)
-    assert b.dot(a) == binary_search_dot(a, b)
+@given(st.lists(st.one_of(integer_vectors, finite_weights), max_size=8), st.one_of(integer_vectors, finite_weights))
+def test_dot_equals_binary_search_reference(indexed, query):
+    # integer-only draws take the exact-integer path, any float weight the fsum path
+    vectors = [SparseVector(w) for w in indexed]
+    q = SparseVector(query)
+    dots = Postings(enumerate(vectors)).dots(q)
+    assert sorted(dots) == [j for j, v in enumerate(vectors) if set(v.ids) & set(q.ids)]
+    for j, dot in dots.items():
+        assert dot == binary_search_dot(q, vectors[j])
+        assert dot == binary_search_dot(vectors[j], q)
 
 
-integer_vectors = st.dictionaries(
-    st.integers(min_value=0, max_value=12),
-    st.integers(min_value=1, max_value=40).map(float),
-    max_size=8,
-)
+def test_postings_norms_and_integer_path():
+    a, b = SparseVector({1: 3.0, 2: 4.0}), SparseVector({2: 2.0, 7: 1.0})
+    index = Postings([(10, a), (20, b)])
+    assert index.norms == {10: 5.0, 20: math.sqrt(5.0)}
+    assert index.dots(SparseVector({2: 1.0, 9: 5.0})) == {10: 4.0, 20: 2.0}
+    assert index.dots(SparseVector({2: 0.5})) == {10: 2.0, 20: 1.0}
+    assert index.dots(SparseVector({5: 1.0})) == {}
+    # integer weights whose dot needs every bit of 2**53: still exact
+    big = float(2**26)
+    index = Postings([(0, SparseVector({1: big, 2: big, 3: 1.0}))])
+    assert index.dots(SparseVector({1: big, 2: big - 1.0, 3: 1.0})) == {0: float(2**53 - 2**26 + 1)}
+
+
+def sort_everything_top_k(vectors, user, k):
+    """Cosine to every other user, positive ones sorted by (-sim, user), cut to k."""
+    sims = ((other, min(1.0, ref_cosine(vectors[user], vectors[other]))) for other in vectors if other != user)
+    return tuple(sorted(((o, s) for o, s in sims if s > 0.0), key=lambda e: (-e[1], e[0]))[:k])
+
+
+@st.composite
+def user_profiles(draw):
+    """Integer or float profiles; users draw from a small pool, so equal vectors (ties) are common."""
+    weights = draw(st.sampled_from([integer_vectors, finite_weights]))
+    pool = draw(st.lists(weights, min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=12))
+    return {user: SparseVector(pool[p]) for user, p in enumerate(rows)}
+
+
+@given(user_profiles(), st.integers(min_value=1, max_value=6), st.data())
+def test_top_k_equals_sort_everything_reference(vectors, k, data):
+    user = data.draw(st.sampled_from(sorted(vectors)))
+    index = UserIndex(vectors)
+    if not vectors[user].ids:
+        with pytest.raises(NoProfileError):
+            index.top_k(user, k)
+        return
+    assert index.top_k(user, k) == sort_everything_top_k(vectors, user, k)
 
 
 @given(
-    st.lists(integer_vectors, min_size=1, max_size=10),
+    st.lists(st.one_of(integer_vectors, finite_weights), min_size=1, max_size=10),
     st.lists(st.integers(min_value=0, max_value=9), max_size=6, unique=True),
     st.lists(st.integers(min_value=0, max_value=9), max_size=6, unique=True),
 )
@@ -272,7 +334,7 @@ def test_summed_item_cosines_equal_fsum_of_cosines(weights, owned, candidates):
     got = summed_item_cosines(vectors, owned, candidates)
     assert list(got) == candidates
     for c in candidates:
-        assert got[c] == math.fsum(cosine(vectors[c], vectors[j]) for j in owned)
+        assert got[c] == math.fsum(ref_cosine(vectors[c], vectors[j]) for j in owned)
 
 
 @given(st.lists(st.one_of(st.none(), integer_vectors), max_size=12))
@@ -282,7 +344,7 @@ def test_overlapping_pair_cosines_are_the_cosines_of_pairs_sharing_a_dimension(w
     vectors = [None if w is None else SparseVector(w) for w in weights]
     vectors += [SparseVector({d: 1.0 for d in w}) for w in weights[:1] if w is not None]
     expected = [
-        cosine(vectors[a], vectors[b])
+        ref_cosine(vectors[a], vectors[b])
         for b in range(len(vectors))
         for a in range(b)
         if vectors[a] is not None and vectors[b] is not None and set(vectors[a].ids) & set(vectors[b].ids)
