@@ -203,9 +203,10 @@ def evaluate_algorithm(
     test_users = sorted(split.test)
     if not test_users:
         raise EmptyDatasetError("split has no users with held-out items to evaluate")
+    # built before the pool forks, so forked workers inherit the train set's memo
+    vectors = item_tag_vectors(split.train)
     if workers == 1 or len(test_users) < 4:
         recommender = build_recommender(split.train, split.t_ref, config)
-        vectors = item_tag_vectors(split.train)
         results = [
             _evaluate_user(recommender, split.train, user, split.test[user], vectors)
             for user in test_users

@@ -3,14 +3,16 @@
 Input format: delimited text (TAB by default), one assignment per row as
 ``user item tag timestamp``, UTF-8, ``#``-prefixed comment lines ignored.
 The preprocessing pipeline runs in a fixed order: parse, blacklist filter,
-build, user sampling, unique-resource removal. Only the build groups tag
-assignments into posts; the two filters after it keep or drop whole posts.
+grouping into posts, user sampling, unique-resource removal. Only the
+grouping merges tag assignments; the two filters after it keep or drop whole
+posts, and the indexed ``Folksonomy`` is built once, from what they keep.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fnmatch import fnmatchcase
@@ -18,7 +20,7 @@ from pathlib import Path
 from typing import List, Sequence, Tuple
 
 from .errors import ConfigError, EmptyDatasetError, FormatError
-from .model import Folksonomy, TagAssignment, Vocab, _label_rows, build_folksonomy
+from .model import Folksonomy, Post, TagAssignment, Vocab, _label_rows, build_folksonomy, group_posts
 
 # Tags auto-generated by import tooling rather than chosen by a person.
 DEFAULT_BLACKLIST = ("bibtex-import",)
@@ -97,7 +99,14 @@ def parse(spec: DatasetSpec) -> ParseResult:
     assignments: List[TagAssignment] = []
     malformed: List[Tuple[int, str]] = []
     data_rows = 0
+    cu, ci, ct, cts = spec.columns
     needed = max(spec.columns) + 1
+    delimiter = spec.delimiter
+    ts_format = spec.timestamp_format
+    intern_user = vocab.users.intern
+    intern_item = vocab.items.intern
+    intern_tag = vocab.tags.intern
+    add = assignments.append
 
     try:
         with open(spec.path, "r", encoding="utf-8") as fh:
@@ -106,11 +115,10 @@ def parse(spec: DatasetSpec) -> ParseResult:
                 if not stripped or stripped.startswith("#"):
                     continue
                 data_rows += 1
-                fields = line.rstrip("\n").split(spec.delimiter)
+                fields = line.rstrip("\n").split(delimiter)
                 if len(fields) < needed:
                     malformed.append((lineno, f"expected at least {needed} columns, got {len(fields)}"))
                     continue
-                cu, ci, ct, cts = spec.columns
                 user = fields[cu].strip()
                 item = fields[ci].strip()
                 tag = fields[ct].strip().lower()  # tags are case-folded before interning
@@ -118,13 +126,11 @@ def parse(spec: DatasetSpec) -> ParseResult:
                     malformed.append((lineno, "empty user, item or tag field"))
                     continue
                 try:
-                    ts = _parse_timestamp(fields[cts], spec.timestamp_format)
+                    ts = _parse_timestamp(fields[cts], ts_format)
                 except (ValueError, OverflowError) as exc:
                     malformed.append((lineno, f"bad timestamp {fields[cts]!r}: {exc}"))
                     continue
-                assignments.append(
-                    TagAssignment(vocab.users.intern(user), vocab.items.intern(item), vocab.tags.intern(tag), ts)
-                )
+                add(TagAssignment(intern_user(user), intern_item(item), intern_tag(tag), ts))
     except UnicodeDecodeError:
         raise FormatError(f"{spec.path} line {_first_non_utf8_line(spec.path)} is not UTF-8 text") from None
 
@@ -156,18 +162,33 @@ def filter_blacklisted_tags(
     return [a for a in assignments if a.tag not in banned]
 
 
-def sample_users(folksonomy: Folksonomy, fraction: float, seed: int) -> Folksonomy:
-    """Keep ceil(fraction * |U|) users drawn uniformly without replacement."""
+def _sample_posts(posts: Sequence[Post], fraction: float, seed: int) -> Sequence[Post]:
+    """The posts of ceil(fraction * |U|) users drawn uniformly without replacement."""
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"sample fraction must be in (0, 1], got {fraction}")
     if fraction == 1.0:
-        return folksonomy
-    users = folksonomy.users()
+        return posts
+    users = sorted({post.user for post in posts})
     # round() guards against IEEE artifacts like 0.1 * 100 = 10.000000000000002
     keep = math.ceil(round(fraction * len(users), 9))
     rng = random.Random(seed)
     kept = set(rng.sample(users, keep))
-    return Folksonomy([p for p in folksonomy.posts if p.user in kept], folksonomy.vocab)
+    return [post for post in posts if post.user in kept]
+
+
+def _shared_item_posts(posts: Sequence[Post]) -> List[Post]:
+    """The posts on items that more than one user bookmarked, counted once."""
+    taggers = Counter(post.item for post in posts)  # one post per (user, item)
+    kept = [post for post in posts if taggers[post.item] > 1]
+    if not kept:
+        raise EmptyDatasetError("no items with more than one tagger; nothing left after filtering")
+    return kept
+
+
+def sample_users(folksonomy: Folksonomy, fraction: float, seed: int) -> Folksonomy:
+    """Keep ceil(fraction * |U|) users drawn uniformly without replacement."""
+    posts = _sample_posts(folksonomy.posts, fraction, seed)
+    return folksonomy if posts is folksonomy.posts else Folksonomy(posts, folksonomy.vocab)
 
 
 def remove_unique_resources(folksonomy: Folksonomy) -> Folksonomy:
@@ -177,22 +198,21 @@ def remove_unique_resources(folksonomy: Folksonomy) -> Folksonomy:
     one stay in, and items whose tagger count drops to one because of user
     sampling upstream are judged on the counts seen here, once.
     """
-    posts = [p for p in folksonomy.posts if len(folksonomy.posts_of_item(p.item)) > 1]
-    if not posts:
-        raise EmptyDatasetError("no items with more than one tagger; nothing left after filtering")
-    return Folksonomy(posts, folksonomy.vocab)
+    return Folksonomy(_shared_item_posts(folksonomy.posts), folksonomy.vocab)
 
 
 def run_pipeline(spec: DatasetSpec) -> Tuple[Folksonomy, ParseResult]:
-    """parse -> blacklist filter -> build -> user sampling -> unique-resource removal."""
+    """parse -> blacklist filter -> grouping -> user sampling -> unique-resource removal.
+
+    Both filters select posts, so the indexed folksonomy is built once, from
+    the posts they keep; the result equals the one the public steps give.
+    """
     parsed = parse(spec)
     kept = filter_blacklisted_tags(parsed.assignments, spec.blacklist, parsed.vocab)
     if not kept:
         raise EmptyDatasetError(f"no usable tag assignments in {spec.path}")
-    folksonomy = build_folksonomy(kept, parsed.vocab)
-    folksonomy = sample_users(folksonomy, spec.sample_fraction, spec.seed)
-    folksonomy = remove_unique_resources(folksonomy)
-    return folksonomy, parsed
+    posts = _sample_posts(group_posts(kept), spec.sample_fraction, spec.seed)
+    return Folksonomy(_shared_item_posts(posts), parsed.vocab), parsed
 
 
 def write_snapshot(folksonomy: Folksonomy, path: str | Path) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import EmptyDatasetError
 
@@ -60,27 +60,40 @@ class Vocab:
     tags: Interner = field(default_factory=Interner)
 
 
-@dataclass(frozen=True)
-class TagAssignment:
-    """One (user, item, tag, timestamp) event, with interned integer ids."""
-
+class _TagAssignmentFields(NamedTuple):
     user: int
     item: int
     tag: int
     timestamp: int
 
-    def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError(f"negative timestamp: {self.timestamp}")
+
+class TagAssignment(_TagAssignmentFields):
+    """One (user, item, tag, timestamp) event, with interned integer ids.
+
+    An immutable named tuple: it unpacks as ``user, item, tag, timestamp``
+    and compares equal to a plain tuple of the same values.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, user: int, item: int, tag: int, timestamp: int) -> TagAssignment:
+        if timestamp < 0:
+            raise ValueError(f"negative timestamp: {timestamp}")
+        return tuple.__new__(cls, (user, item, tag, timestamp))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> TagAssignment:
+        # the inherited _make, and _replace through it, would skip __new__'s check
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Post:
+class Post(NamedTuple):
     """All tag assignments of one user on one item, treated as one bookmark.
 
     ``tag_times`` holds one (tag, timestamp) entry per distinct tag, sorted by
     tag id; duplicates were resolved to the earliest use. The post timestamp
-    is the earliest assignment time (the bookmark's creation).
+    is the earliest assignment time (the bookmark's creation). An immutable
+    named tuple, like :class:`TagAssignment`.
     """
 
     user: int
@@ -133,12 +146,15 @@ class Folksonomy:
     def _build_indexes(self) -> None:
         user_posts: Dict[int, List[Post]] = {}
         item_posts: Dict[int, List[Post]] = {}
+        user_tag_counts = self._user_tag_counts
+        item_tag_counts = self._item_tag_counts
         for post in self.posts:
-            user_posts.setdefault(post.user, []).append(post)
-            item_posts.setdefault(post.item, []).append(post)
-            utc = self._user_tag_counts.setdefault(post.user, {})
-            itc = self._item_tag_counts.setdefault(post.item, {})
-            for tag, _ in post.tag_times:
+            user, item, _, tag_times = post
+            user_posts.setdefault(user, []).append(post)
+            item_posts.setdefault(item, []).append(post)
+            utc = user_tag_counts.setdefault(user, {})
+            itc = item_tag_counts.setdefault(item, {})
+            for tag, _ in tag_times:
                 utc[tag] = utc.get(tag, 0) + 1
                 itc[tag] = itc.get(tag, 0) + 1
         self._user_posts = {u: tuple(ps) for u, ps in user_posts.items()}
@@ -195,14 +211,6 @@ class Folksonomy:
             times.sort()
         return uses
 
-    def assignments(self) -> List[TagAssignment]:
-        """Flatten posts back into deduplicated tag assignments."""
-        out = []
-        for post in self.posts:
-            for tag, ts in post.tag_times:
-                out.append(TagAssignment(post.user, post.item, tag, ts))
-        return out
-
     def stats(self) -> Stats:
         return Stats(
             bookmarks=len(self.posts),
@@ -236,26 +244,34 @@ def _label_rows(folksonomy: Folksonomy) -> List[str]:
     return rows
 
 
-def build_folksonomy(assignments: Iterable[TagAssignment], vocab: Vocab) -> Folksonomy:
-    """Group tag assignments into posts and build the indexed store.
+def group_posts(assignments: Iterable[Tuple[int, int, int, int]]) -> List[Post]:
+    """Group (user, item, tag, timestamp) rows into posts sorted by (user, item).
 
-    Assignments sharing (user, item) merge into one post whose timestamp is
-    the earliest among them. Duplicate (user, item, tag) rows collapse to the
+    Rows sharing (user, item) merge into one post whose timestamp is the
+    earliest among them. Duplicate (user, item, tag) rows collapse to the
     earliest use so re-imports cannot inflate frequency counts. The result
     does not depend on input order.
     """
     grouped: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for a in assignments:
-        tag_times = grouped.setdefault((a.user, a.item), {})
-        prev = tag_times.get(a.tag)
-        if prev is None or a.timestamp < prev:
-            tag_times[a.tag] = a.timestamp
-    if not grouped:
+    for user, item, tag, ts in assignments:
+        tag_times = grouped.get((user, item))
+        if tag_times is None:
+            grouped[user, item] = {tag: ts}
+        else:
+            prev = tag_times.get(tag)
+            if prev is None or ts < prev:
+                tag_times[tag] = ts
+    return [
+        Post(user, item, min(tag_times.values()), tuple(sorted(tag_times.items())))
+        for (user, item), tag_times in sorted(grouped.items())
+    ]
+
+
+def build_folksonomy(assignments: Iterable[TagAssignment], vocab: Vocab) -> Folksonomy:
+    """Group tag assignments into posts (:func:`group_posts`) and build the indexed store."""
+    posts = group_posts(assignments)
+    if not posts:
         raise EmptyDatasetError("no tag assignments to build from")
-    posts = []
-    for (user, item), tag_times in sorted(grouped.items()):
-        pairs = tuple(sorted(tag_times.items()))
-        posts.append(Post(user, item, min(tag_times.values()), pairs))
     return Folksonomy(posts, vocab)
 
 

@@ -32,7 +32,9 @@ TAG_PROFILE = "tag-profile"
 
 
 class SparseVector:
-    """Immutable id -> weight map with strictly positive weights and a cached norm.
+    """Immutable id -> weight map with positive, finite weights and a cached norm.
+
+    A weight that is zero, negative, infinite or nan raises ``ValueError``.
 
     ``integral`` is true when every weight is an integer.
     """
@@ -43,8 +45,8 @@ class SparseVector:
         pairs = sorted(entries.items())
         integral = True
         for _, w in pairs:
-            if w <= 0.0:
-                raise ValueError(f"sparse vector weights must be positive, got {w}")
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"sparse vector weights must be positive and finite, got {w}")
             integral = integral and float(w).is_integer()
         self.ids: Tuple[int, ...] = tuple(i for i, _ in pairs)
         self.weights: Tuple[float, ...] = tuple(w for _, w in pairs)

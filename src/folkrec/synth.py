@@ -104,8 +104,8 @@ def write_tsv(folksonomy: Folksonomy, path: str) -> None:
     """Dump as the plain 4-column input format the ingest pipeline reads."""
     vocab = folksonomy.vocab
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for a in folksonomy.assignments():
-            handle.write(
-                f"{vocab.users.label_of(a.user)}\t{vocab.items.label_of(a.item)}\t"
-                f"{vocab.tags.label_of(a.tag)}\t{a.timestamp}\n"
-            )
+        for post in folksonomy.posts:
+            user = vocab.users.label_of(post.user)
+            item = vocab.items.label_of(post.item)
+            for tag, ts in post.tag_times:
+                handle.write(f"{user}\t{item}\t{vocab.tags.label_of(tag)}\t{ts}\n")

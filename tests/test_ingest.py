@@ -1,7 +1,9 @@
 """Parsing, tag blacklisting, user sampling, unique-resource removal, snapshots."""
 
 import math
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,9 @@ from folkrec.ingest import (
     sample_users,
     write_snapshot,
 )
-from folkrec.model import build_folksonomy, fingerprint
+from folkrec.model import Folksonomy, TagAssignment, build_folksonomy, fingerprint
 from folkrec.split import chronological_split
+from folkrec.synth import write_tsv
 
 from conftest import folksonomy_from_rows, random_folksonomy, random_rows
 
@@ -29,6 +32,11 @@ def write_rows(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write("\t".join(str(x) for x in row) + "\n")
+
+
+def assignments_of(folksonomy):
+    """The folksonomy's deduplicated tag assignments, walked post by post."""
+    return [TagAssignment(p.user, p.item, tag, ts) for p in folksonomy.posts for tag, ts in p.tag_times]
 
 
 def test_parse_basic_row(tmp_path):
@@ -221,7 +229,7 @@ def test_unique_resource_removal_matches_brute_force():
         }
         expected_rows = sorted(
             (a.user, a.item, a.tag, a.timestamp)
-            for a in f.assignments()
+            for a in assignments_of(f)
             if a.item in survivors
         )
         if not expected_rows:
@@ -229,7 +237,7 @@ def test_unique_resource_removal_matches_brute_force():
                 remove_unique_resources(f)
             continue
         cleaned = remove_unique_resources(f)
-        got_rows = sorted((a.user, a.item, a.tag, a.timestamp) for a in cleaned.assignments())
+        got_rows = sorted((a.user, a.item, a.tag, a.timestamp) for a in assignments_of(cleaned))
         assert got_rows == expected_rows
 
 
@@ -242,12 +250,7 @@ def test_removal_to_empty_dataset_raises():
 def test_pipeline_never_increases_counts(tmp_path):
     f = random_folksonomy(3)
     path = tmp_path / "d.tsv"
-    with open(path, "w") as fh:
-        for a in f.assignments():
-            fh.write(
-                f"{f.vocab.users.label_of(a.user)}\t{f.vocab.items.label_of(a.item)}\t"
-                f"{f.vocab.tags.label_of(a.tag)}\t{a.timestamp}\n"
-            )
+    write_tsv(f, str(path))
     out, _ = run_pipeline(DatasetSpec(path=str(path), sample_fraction=0.5, seed=1))
     before, after = f.stats(), out.stats()
     assert after.bookmarks <= before.bookmarks
@@ -260,12 +263,7 @@ def test_pipeline_never_increases_counts(tmp_path):
 def test_pipeline_deterministic(tmp_path):
     f = random_folksonomy(4)
     path = tmp_path / "d.tsv"
-    with open(path, "w") as fh:
-        for a in f.assignments():
-            fh.write(
-                f"{f.vocab.users.label_of(a.user)}\t{f.vocab.items.label_of(a.item)}\t"
-                f"{f.vocab.tags.label_of(a.tag)}\t{a.timestamp}\n"
-            )
+    write_tsv(f, str(path))
     spec = DatasetSpec(path=str(path), sample_fraction=0.6, seed=9)
     one, _ = run_pipeline(spec)
     two, _ = run_pipeline(spec)
@@ -290,7 +288,7 @@ def test_missing_file_raises_oserror():
 
 def _regrouped(folksonomy, keep):
     """Reference for the post filters: flatten to tag assignments, keep, group again."""
-    return build_folksonomy([a for a in folksonomy.assignments() if keep(a)], folksonomy.vocab)
+    return build_folksonomy([a for a in assignments_of(folksonomy) if keep(a)], folksonomy.vocab)
 
 
 def _assert_same_posts(got, reference):
@@ -347,6 +345,80 @@ def test_post_filters_equal_regrouping_their_kept_assignments(seed, sample_fract
     _assert_same_posts(split.train, reference)
     assert split.test == held_out
     last_use = {}
-    for a in reference.assignments():
+    for a in assignments_of(reference):
         last_use[a.user] = max(last_use.get(a.user, 0), a.timestamp)
     assert split.t_ref == {user: ts + 1 for user, ts in last_use.items()}
+
+
+def _stepwise(spec):
+    """run_pipeline spelled out as the public steps, each building its own Folksonomy."""
+    parsed = parse(spec)
+    kept = filter_blacklisted_tags(parsed.assignments, spec.blacklist, parsed.vocab)
+    if not kept:
+        raise EmptyDatasetError("no usable tag assignments")
+    folksonomy = build_folksonomy(kept, parsed.vocab)
+    folksonomy = sample_users(folksonomy, spec.sample_fraction, spec.seed)
+    return remove_unique_resources(folksonomy), parsed
+
+
+def _outcome(pipeline, spec):
+    try:
+        folksonomy, parsed = pipeline(spec)
+    except (EmptyDatasetError, FormatError) as exc:
+        return type(exc)
+    return folksonomy.posts, folksonomy.fingerprint(), folksonomy.stats().line(), parsed.assignments, parsed.malformed
+
+
+def _hazardous_dump(rng):
+    """A small raw export: later-timestamped duplicates, blacklisted and mixed-case tags, malformed rows."""
+    tags = ["web", "Web", "css", "ML", "ml", "python", "bibtex-import", "Imported-2007", "imported"]
+    lines = []
+    for user, item, tag, ts in random_rows(rng, rng.randint(2, 12), rng.randint(2, 15), 6, rng.randint(1, 40)):
+        tag = rng.choice(tags) if rng.random() < 0.3 else tag
+        lines.append(f"{user}\t{item}\t{tag}\t{ts}\n")
+        if rng.random() < 0.15:
+            lines.append(f"{user}\t{item}\t{tag.upper()}\t{ts + rng.randint(0, 500)}\n")
+        if rng.random() < 0.05:
+            lines.append(rng.choice([f"{user}\t{item}\n", f"{user}\t{item}\t \t{ts}\n", f"{user}\t{item}\t{tag}\tsoon\n"]))
+        if rng.random() < 0.02:
+            lines.append("# exported comment\n")
+    rng.shuffle(lines)
+    return "".join(lines)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    sample_fraction=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+    sample_seed=st.integers(min_value=0, max_value=50),
+)
+@settings(max_examples=80, deadline=None)
+def test_run_pipeline_equals_the_public_steps(seed, sample_fraction, sample_seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dump.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_hazardous_dump(random.Random(seed)))
+        spec = DatasetSpec(
+            path=path,
+            blacklist=("bibtex-import", "imported*"),
+            sample_fraction=sample_fraction,
+            seed=sample_seed,
+        )
+        assert _outcome(run_pipeline, spec) == _outcome(_stepwise, spec)
+
+
+def test_run_pipeline_builds_one_folksonomy(tmp_path, monkeypatch):
+    path = tmp_path / "d.tsv"
+    write_tsv(random_folksonomy(5), str(path))
+    spec = DatasetSpec(path=str(path), sample_fraction=0.5, seed=1)
+    built = []
+    original = Folksonomy.__init__
+
+    def counting_init(self, posts, vocab):
+        built.append(len(posts))
+        original(self, posts, vocab)
+
+    monkeypatch.setattr(Folksonomy, "__init__", counting_init)
+    folksonomy, _ = run_pipeline(spec)
+    assert built == [len(folksonomy.posts)]
+    _stepwise(spec)  # the counter sees every build: one per public step
+    assert len(built) == 4

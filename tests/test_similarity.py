@@ -65,6 +65,13 @@ def test_sparse_vector_rejects_nonpositive_weights():
         SparseVector({1: -2.0})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_sparse_vector_rejects_non_finite_and_nonpositive_weights(bad):
+    # nan fails every comparison, so a `w <= 0.0` check would let it through
+    with pytest.raises(ValueError):
+        SparseVector({1: 2.0, 3: bad})
+
+
 @given(finite_weights)
 def test_cached_norm_matches_recomputation(weights):
     v = SparseVector(weights)
