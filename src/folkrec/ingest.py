@@ -43,6 +43,12 @@ class DatasetSpec:
             raise ConfigError(f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
         if len(set(self.columns)) != 4:
             raise ConfigError(f"column positions must be distinct, got {self.columns}")
+        # a negative position counts from the row's end, so it can name the
+        # same field as a distinct non-negative one
+        if any(c < 0 for c in self.columns):
+            raise ConfigError(f"column positions must be non-negative, got {self.columns}")
+        if not self.delimiter:
+            raise ConfigError("delimiter must not be empty")
         if self.timestamp_format not in ("epoch", "iso8601"):
             raise ConfigError(f"unknown timestamp_format: {self.timestamp_format!r}")
 

@@ -137,6 +137,7 @@ class Folksonomy:
         self.posts: Tuple[Post, ...] = tuple(posts)
         self.vocab = vocab
         self._user_posts: Dict[int, Tuple[Post, ...]] = {}
+        self._user_items: Dict[int, Tuple[int, ...]] = {}
         self._item_posts: Dict[int, Tuple[Post, ...]] = {}
         self._user_tag_counts: Dict[int, Dict[int, int]] = {}
         self._item_tag_counts: Dict[int, Dict[int, int]] = {}
@@ -158,6 +159,7 @@ class Folksonomy:
                 utc[tag] = utc.get(tag, 0) + 1
                 itc[tag] = itc.get(tag, 0) + 1
         self._user_posts = {u: tuple(ps) for u, ps in user_posts.items()}
+        self._user_items = {u: tuple([p.item for p in ps]) for u, ps in user_posts.items()}
         self._item_posts = {i: tuple(ps) for i, ps in item_posts.items()}
 
     # -- accessors ---------------------------------------------------------
@@ -183,7 +185,7 @@ class Folksonomy:
 
     def items_of_user(self, user: int) -> Tuple[int, ...]:
         """Items the user has bookmarked, ascending (posts are item-sorted)."""
-        return tuple(p.item for p in self._user_posts.get(user, ()))
+        return self._user_items.get(user, ())
 
     def taggers_of_item(self, item: int) -> Tuple[int, ...]:
         """Users who bookmarked the item, ascending."""

@@ -36,6 +36,7 @@ from .similarity import (
     TAG_PROFILE,
     SparseVector,
     UserIndex,
+    best_first,
     build_user_vectors,
     item_tag_vectors,
     item_tagger_vectors,
@@ -113,10 +114,7 @@ class MostPopular(Recommender):
     def __init__(self, train: Folksonomy, t_ref: Mapping[int, int], config: RecommenderConfig) -> None:
         super().__init__(train, t_ref, config)
         self._by_popularity = tuple(
-            sorted(
-                ((item, float(len(train.posts_of_item(item)))) for item in train.items()),
-                key=lambda entry: (-entry[1], entry[0]),
-            )
+            best_first((item, float(len(train.posts_of_item(item)))) for item in train.items())
         )
 
     def ranking(self, user: int) -> Iterable[Tuple[int, float]]:
@@ -154,12 +152,17 @@ class _NeighborhoodRecommender(Recommender):
             neighbors = self.index.top_k(user, self.config.k)
         except NoProfileError:
             return None, {}
-        owned = set(self.train.items_of_user(user))
+        items_of_user = self.train.items_of_user
+        owned = set(items_of_user(user))
         contrib: Dict[int, List[Tuple[int, float]]] = {}
-        for neighbor, sim in neighbors:
-            for item in self.train.items_of_user(neighbor):
+        for pair in neighbors:
+            for item in items_of_user(pair[0]):
                 if item not in owned:
-                    contrib.setdefault(item, []).append((neighbor, sim))
+                    pairs = contrib.get(item)
+                    if pairs is None:
+                        contrib[item] = [pair]
+                    else:
+                        pairs.append(pair)
         return neighbors, contrib
 
     def scores(self, user: int, contrib: Mapping[int, List[Tuple[int, float]]]) -> Mapping[int, float]:
@@ -168,7 +171,7 @@ class _NeighborhoodRecommender(Recommender):
 
     def ranking(self, user: int) -> Iterable[Tuple[int, float]]:
         _, contrib = self.candidates(user)
-        return sorted(self.scores(user, contrib).items(), key=lambda entry: (-entry[1], entry[0]))
+        return best_first(self.scores(user, contrib).items())
 
 
 class UserBasedCF(_NeighborhoodRecommender):
@@ -179,7 +182,7 @@ class UserBasedCF(_NeighborhoodRecommender):
         super().__init__(train, t_ref, config, build_user_vectors(train, profile_kind))
 
     def scores(self, user: int, contrib: Mapping[int, List[Tuple[int, float]]]) -> Mapping[int, float]:
-        return {item: math.fsum(sim for _, sim in pairs) for item, pairs in contrib.items()}
+        return {item: math.fsum([sim for _, sim in pairs]) for item, pairs in contrib.items()}
 
 
 class Cirtt(_NeighborhoodRecommender):
@@ -212,10 +215,9 @@ class Cirtt(_NeighborhoodRecommender):
             return ()
         sims = summed_item_cosines(self.item_vectors, self.train.items_of_user(user), contrib)
         scored = sorted(
-            ((item, sim * bll_item(profile, self.train.item_tags(item)), sim) for item, sim in sims.items()),
-            key=lambda entry: (-entry[1], -entry[2], entry[0]),
+            [(-(sim * bll_item(profile, self.train.item_tags(item))), -sim, item) for item, sim in sims.items()]
         )
-        return ((item, pred) for item, pred, _ in scored)
+        return ((item, -neg_pred) for neg_pred, _, item in scored)
 
 
 class ExpDecayCF(_NeighborhoodRecommender):
@@ -243,8 +245,9 @@ class ExpDecayCF(_NeighborhoodRecommender):
         super().__init__(train, t_ref, config, vectors)
 
     def scores(self, user: int, contrib: Mapping[int, List[Tuple[int, float]]]) -> Mapping[int, float]:
+        weights = self._weights
         return {
-            item: math.fsum(sim * self._weights[neighbor][item] for neighbor, sim in pairs)
+            item: math.fsum([sim * weights[neighbor][item] for neighbor, sim in pairs])
             for item, pairs in contrib.items()
         }
 

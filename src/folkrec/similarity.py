@@ -31,6 +31,19 @@ BINARY_ITEM = "binary-item"
 TAG_PROFILE = "tag-profile"
 
 
+def best_first(pairs: Iterable[Tuple[int, float]], k: Optional[int] = None) -> List[Tuple[int, float]]:
+    """(id, score) pairs by score descending, id ascending; only the first k when k is given.
+
+    Sorts plain (-score, id) tuples, whose native order is exactly this one,
+    so no key function runs per pair. Negation is exact, so every score
+    comes back bit for bit.
+    """
+    order = sorted([(-score, ident) for ident, score in pairs])
+    if k is not None:
+        del order[k:]
+    return [(ident, -neg) for neg, ident in order]
+
+
 class SparseVector:
     """Immutable id -> weight map with positive, finite weights and a cached norm.
 
@@ -141,7 +154,8 @@ def summed_item_cosines(
     """Per candidate, math.fsum of its cosines to every (distinct) owned item.
 
     A cosine is the candidate's dot with the owned item (``Postings.dots``)
-    over the product of their norms, clamped to [0, 1]; an owned item
+    over the product of their norms, clamped at 1 (no product is negative,
+    so neither is the cosine); an owned item
     sharing no dimension with the candidate adds an exact 0.0 and is
     skipped. One index over the owned items serves every candidate.
     """
@@ -150,9 +164,12 @@ def summed_item_cosines(
     sums: Dict[int, float] = {}
     for item in candidates:
         vec = vectors[item]
-        sums[item] = math.fsum(
-            max(0.0, min(1.0, dot / (vec.norm * norms[j]))) for j, dot in index.dots(vec).items()
-        )
+        norm = vec.norm
+        cosines = []
+        for j, dot in index.dots(vec).items():
+            c = dot / (norm * norms[j])
+            cosines.append(c if c < 1.0 else 1.0)
+        sums[item] = math.fsum(cosines)
     return sums
 
 
@@ -175,23 +192,29 @@ def overlapping_pair_cosines(vectors: Sequence[Optional[SparseVector]]) -> List[
     go through ``Postings``.
     """
     postings: Dict[int, List[Tuple[int, float]]] = {}
-    norms: Dict[int, float] = {}
+    norms: List[float] = []
     cosines: List[float] = []
     for b, vec in enumerate(vectors):
-        if not vec:
+        if vec is None or not vec.ids:
+            norms.append(0.0)
             continue
-        norms[b] = vec.norm
-        dots: Dict[int, float] = {}
+        norm = vec.norm
+        norms.append(norm)
+        # dots[a] is the dot with earlier position a; it stays 0.0 exactly
+        # when the two share no dimension, as every product is positive
+        dots = [0.0] * b
         for dim, w in vec.items():
             entries = postings.get(dim)
             if entries is None:
                 postings[dim] = [(b, w)]
                 continue
             for a, wa in entries:
-                dots[a] = dots.get(a, 0.0) + wa * w
+                dots[a] += wa * w
             entries.append((b, w))
-        for a, dot in dots.items():
-            cosines.append(max(0.0, min(1.0, dot / (norms[a] * vec.norm))))
+        for a, dot in enumerate(dots):
+            if dot:
+                c = dot / (norms[a] * norm)
+                cosines.append(c if c < 1.0 else 1.0)
     return cosines
 
 
@@ -224,14 +247,15 @@ class UserIndex:
         vec = self._vectors.get(user)
         if vec is None or not vec.norm:
             raise NoProfileError(f"user {user} has no profile to search neighbors for")
+        norm = vec.norm
         norms = self._postings.norms
         scored = []
         for other, dot in self._postings.dots(vec).items():
-            sim = min(1.0, dot / (vec.norm * norms[other]))
+            sim = dot / (norm * norms[other])
+            sim = sim if sim < 1.0 else 1.0
             if sim > 0.0 and other != user:
                 scored.append((other, sim))
-        scored.sort(key=lambda entry: (-entry[1], entry[0]))
-        return tuple(scored[:k])
+        return tuple(best_first(scored, k))
 
 
 def build_user_vectors(train: Folksonomy, profile_kind: str) -> Dict[int, SparseVector]:

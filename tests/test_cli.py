@@ -131,9 +131,12 @@ def test_unknown_config_key_is_config_error(workdir, capsys):
         ("  columns: [0, 1, 2, 3]", "  columns: [0, 2, 3, true]"),
         ("  columns: [0, 1, 2, 3]", "  columns: [0, 1, 2, 3.0]"),
         ("  columns: [0, 1, 2, 3]", "  columns: [0, 1, 2, 3, 4]"),
+        ("  columns: [0, 1, 2, 3]", "  columns: [3, 1, 2, -1]"),  # user and timestamp both read column 3
+        ("  columns: [0, 1, 2, 3]", "  columns: [-4, 1, 2, 3]"),
         ("  sample_fraction: 1.0", "  sample_fraction: 1.0\n  blacklist: 7"),
         ("  sample_fraction: 1.0", "  sample_fraction: 1.0\n  blacklist: [bibtex-import, 7]"),
         ('  delimiter: "\\t"', "  delimiter: 1"),
+        ('  delimiter: "\\t"', '  delimiter: ""'),
         ("  timestamp_format: epoch", "  timestamp_format: 5"),
         ("  - algorithm: MP", "  - algorithm: MP\n    n: 5"),  # lists are K_MAX long
         ("    floor: 0.0", "    floor: .nan"),

@@ -125,6 +125,10 @@ def test_spec_validation():
         DatasetSpec(path="x", columns=(0, 1, 2, 2))
     with pytest.raises(ConfigError):
         DatasetSpec(path="x", timestamp_format="julian")
+    with pytest.raises(ConfigError):
+        DatasetSpec(path="x", columns=(3, 1, 2, -1))
+    with pytest.raises(ConfigError):
+        DatasetSpec(path="x", delimiter="")
 
 
 def test_default_blacklist_removes_bibtex_import(tmp_path):

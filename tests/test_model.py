@@ -8,7 +8,7 @@ import pytest
 from folkrec.errors import EmptyDatasetError
 from folkrec.model import Post, TagAssignment, Vocab, build_folksonomy, fingerprint, group_posts
 
-from conftest import folksonomy_from_rows, random_rows
+from conftest import folksonomy_from_rows, random_folksonomy, random_rows
 
 
 def test_assignments_with_equal_user_item_merge_into_one_post():
@@ -129,6 +129,17 @@ def test_indexes_match_post_list_rebuild(small_folksonomy):
             for tag, _ in p.tag_times:
                 counted[tag] = counted.get(tag, 0) + 1
         assert dict(f.item_tag_counts(item)) == counted
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_items_of_user_are_the_post_items_ascending(seed):
+    f = random_folksonomy(seed)
+    for user in f.users():
+        items = f.items_of_user(user)
+        assert items == tuple(p.item for p in f.posts_of_user(user))
+        assert list(items) == sorted(set(items))
+    assert f.items_of_user(max(f.users()) + 1) == ()
+    assert f.items_of_user(-1) == ()
 
 
 def test_interner_round_trip(small_folksonomy):

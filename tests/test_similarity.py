@@ -14,6 +14,7 @@ from folkrec.similarity import (
     Postings,
     SparseVector,
     UserIndex,
+    best_first,
     build_user_vectors,
     item_tag_vectors,
     item_tagger_vectors,
@@ -294,6 +295,27 @@ def test_postings_norms_and_integer_path():
     big = float(2**26)
     index = Postings([(0, SparseVector({1: big, 2: big, 3: 1.0}))])
     assert index.dots(SparseVector({1: big, 2: big - 1.0, 3: 1.0})) == {0: float(2**53 - 2**26 + 1)}
+
+
+scored_pairs = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=30),
+        st.one_of(
+            st.sampled_from([0.0, 1.0, 0.5]),
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+        ),
+    ),
+    max_size=40,
+    unique_by=lambda pair: pair[0],
+)
+
+
+@given(scored_pairs, st.integers(min_value=0, max_value=45))
+def test_best_first_equals_key_sort(pairs, k):
+    # ids are distinct, as every caller's are; scores repeat often
+    expected = sorted(pairs, key=lambda e: (-e[1], e[0]))
+    assert best_first(pairs) == expected
+    assert best_first(iter(pairs), k) == expected[:k]
 
 
 def sort_everything_top_k(vectors, user, k):
