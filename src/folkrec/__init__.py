@@ -22,7 +22,7 @@ from .evaluation import (
     write_reports,
 )
 from .ingest import DatasetSpec, load_snapshot, run_pipeline, write_snapshot
-from .model import Folksonomy, Post, Stats, TagAssignment, Vocab, build_folksonomy, fingerprint
+from .model import Folksonomy, Post, Stats, Vocab, build_folksonomy, fingerprint
 from .recommenders import (
     ALGORITHMS,
     Cirtt,
@@ -64,7 +64,6 @@ __all__ = [
     "SplitResult",
     "Stats",
     "SynthConfig",
-    "TagAssignment",
     "UserBasedCF",
     "Vocab",
     "bll_item",

@@ -220,14 +220,15 @@ def evaluate_algorithm(
             [(user, split.test[user]) for user in test_users[start:start + size]]
             for start in range(0, len(test_users), size)
         ]
+        # the pool forks all max_workers processes at its first submit, so
+        # never ask for more than there are batches or CPUs to run them
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=min(workers, len(batches), os.cpu_count() or 1),
             initializer=_worker_init,
             initargs=(split.train, split.t_ref, config),
         ) as pool:
-            chunks = list(pool.map(_worker_eval, batches))
-        merged = {result.user: result for chunk in chunks for result in chunk}
-        results = [merged[user] for user in test_users]
+            # map yields in batch order, and the batches slice test_users in order
+            results = [result for chunk in pool.map(_worker_eval, batches) for result in chunk]
     return _aggregate(config.algorithm, results, count_unserved)
 
 
@@ -242,20 +243,13 @@ def _aggregate(tag: str, results: List[UserResult], count_unserved: bool) -> Alg
     if denominator == 0:
         zeros = tuple(0.0 for _ in range(K_MAX))
         return AlgorithmReport(tag, len(results), len(served), zeros, zeros, zeros, div)
-
-    def mean_curve(pick) -> Tuple[float, ...]:
-        return tuple(
-            math.fsum(pick(r)[j] for r in pool) / denominator
-            for j in range(K_MAX)
-        )
-
     return AlgorithmReport(
         algorithm=tag,
         users_evaluated=len(results),
         users_served=len(served),
-        ndcg=mean_curve(lambda r: r.ndcg),
-        map=mean_curve(lambda r: r.ap),
-        recall=mean_curve(lambda r: r.recall),
+        ndcg=tuple(math.fsum(col) / denominator for col in zip(*(r.ndcg for r in pool))),
+        map=tuple(math.fsum(col) / denominator for col in zip(*(r.ap for r in pool))),
+        recall=tuple(math.fsum(col) / denominator for col in zip(*(r.recall for r in pool))),
         diversity=div,
     )
 

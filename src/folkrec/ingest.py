@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import List, Sequence, Tuple
 
 from .errors import ConfigError, EmptyDatasetError, FormatError
-from .model import Folksonomy, Post, TagAssignment, Vocab, _label_rows, build_folksonomy, group_posts
+from .model import Assignment, Folksonomy, Post, Vocab, _label_rows, build_folksonomy, group_posts
 
 # Tags auto-generated by import tooling rather than chosen by a person.
 DEFAULT_BLACKLIST = ("bibtex-import",)
@@ -55,7 +55,7 @@ class DatasetSpec:
 
 @dataclass
 class ParseResult:
-    assignments: List[TagAssignment]
+    assignments: List[Assignment]
     vocab: Vocab
     data_rows: int
     malformed: List[Tuple[int, str]] = field(default_factory=list)
@@ -102,7 +102,7 @@ def parse(spec: DatasetSpec) -> ParseResult:
     it is for a file that is not UTF-8 text.
     """
     vocab = Vocab()
-    assignments: List[TagAssignment] = []
+    assignments: List[Assignment] = []
     malformed: List[Tuple[int, str]] = []
     data_rows = 0
     cu, ci, ct, cts = spec.columns
@@ -136,7 +136,7 @@ def parse(spec: DatasetSpec) -> ParseResult:
                 except (ValueError, OverflowError) as exc:
                     malformed.append((lineno, f"bad timestamp {fields[cts]!r}: {exc}"))
                     continue
-                add(TagAssignment(intern_user(user), intern_item(item), intern_tag(tag), ts))
+                add((intern_user(user), intern_item(item), intern_tag(tag), ts))
     except UnicodeDecodeError:
         raise FormatError(f"{spec.path} line {_first_non_utf8_line(spec.path)} is not UTF-8 text") from None
 
@@ -148,10 +148,10 @@ def parse(spec: DatasetSpec) -> ParseResult:
 
 
 def filter_blacklisted_tags(
-    assignments: Sequence[TagAssignment],
+    assignments: Sequence[Assignment],
     patterns: Sequence[str],
     vocab: Vocab,
-) -> List[TagAssignment]:
+) -> List[Assignment]:
     """Drop every assignment whose tag matches any blacklist pattern.
 
     Patterns are case-insensitive literals or globs (``imported*``). Tag
@@ -165,7 +165,7 @@ def filter_blacklisted_tags(
         for tag_id in range(len(vocab.tags))
         if any(fnmatchcase(vocab.tags.label_of(tag_id), p) for p in lowered)
     }
-    return [a for a in assignments if a.tag not in banned]
+    return [row for row in assignments if row[2] not in banned]
 
 
 def _sample_posts(posts: Sequence[Post], fraction: float, seed: int) -> Sequence[Post]:

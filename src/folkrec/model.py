@@ -15,6 +15,10 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import EmptyDatasetError
 
+# One tag assignment as interned ids: (user, item, tag, timestamp). Timestamps
+# are checked non-negative where rows enter: at parse and in SynthConfig.
+Assignment = Tuple[int, int, int, int]
+
 
 class Interner:
     """Bidirectional map between external string labels and dense integer ids.
@@ -60,40 +64,13 @@ class Vocab:
     tags: Interner = field(default_factory=Interner)
 
 
-class _TagAssignmentFields(NamedTuple):
-    user: int
-    item: int
-    tag: int
-    timestamp: int
-
-
-class TagAssignment(_TagAssignmentFields):
-    """One (user, item, tag, timestamp) event, with interned integer ids.
-
-    An immutable named tuple: it unpacks as ``user, item, tag, timestamp``
-    and compares equal to a plain tuple of the same values.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, user: int, item: int, tag: int, timestamp: int) -> TagAssignment:
-        if timestamp < 0:
-            raise ValueError(f"negative timestamp: {timestamp}")
-        return tuple.__new__(cls, (user, item, tag, timestamp))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> TagAssignment:
-        # the inherited _make, and _replace through it, would skip __new__'s check
-        return cls(*iterable)
-
-
 class Post(NamedTuple):
     """All tag assignments of one user on one item, treated as one bookmark.
 
     ``tag_times`` holds one (tag, timestamp) entry per distinct tag, sorted by
     tag id; duplicates were resolved to the earliest use. The post timestamp
     is the earliest assignment time (the bookmark's creation). An immutable
-    named tuple, like :class:`TagAssignment`.
+    named tuple: it unpacks and compares like a plain tuple.
     """
 
     user: int
@@ -246,7 +223,7 @@ def _label_rows(folksonomy: Folksonomy) -> List[str]:
     return rows
 
 
-def group_posts(assignments: Iterable[Tuple[int, int, int, int]]) -> List[Post]:
+def group_posts(assignments: Iterable[Assignment]) -> List[Post]:
     """Group (user, item, tag, timestamp) rows into posts sorted by (user, item).
 
     Rows sharing (user, item) merge into one post whose timestamp is the
@@ -269,7 +246,7 @@ def group_posts(assignments: Iterable[Tuple[int, int, int, int]]) -> List[Post]:
     ]
 
 
-def build_folksonomy(assignments: Iterable[TagAssignment], vocab: Vocab) -> Folksonomy:
+def build_folksonomy(assignments: Iterable[Assignment], vocab: Vocab) -> Folksonomy:
     """Group tag assignments into posts (:func:`group_posts`) and build the indexed store."""
     posts = group_posts(assignments)
     if not posts:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import ConfigError
-from .model import Folksonomy, TagAssignment, Vocab, build_folksonomy
+from .model import Assignment, Folksonomy, Vocab, build_folksonomy
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,9 @@ class SynthConfig:
             raise ConfigError(f"switch_fraction must be in (0, 1), got {self.switch_fraction}")
         if self.step_seconds < 1:
             raise ConfigError(f"step_seconds must be >= 1, got {self.step_seconds}")
+        # every generated timestamp is start plus non-negative offsets
+        if self.start < 0:
+            raise ConfigError(f"start must be >= 0, got {self.start}")
 
 
 def _partition(count: int, topics: int) -> List[List[int]]:
@@ -74,7 +77,7 @@ def generate(config: SynthConfig, seed: int) -> Folksonomy:
     item_ids = [vocab.items.intern(f"i{index:04d}") for index in range(config.items)]
     tag_ids = [vocab.tags.intern(f"t{index:04d}") for index in range(config.tags)]
 
-    assignments: List[TagAssignment] = []
+    assignments: List[Assignment] = []
     for user in user_ids:
         early_topic, late_topic = rng.sample(range(config.topics), 2)
         n_posts = rng.randint(*config.posts_per_user)
@@ -96,7 +99,7 @@ def generate(config: SynthConfig, seed: int) -> Folksonomy:
                 tag = raw_tag
                 if rng.random() < config.noise:
                     tag = rng.randrange(config.tags)
-                assignments.append(TagAssignment(user, item, tag_ids[tag], ts))
+                assignments.append((user, item, tag_ids[tag], ts))
     return build_folksonomy(assignments, vocab)
 
 

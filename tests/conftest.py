@@ -7,7 +7,7 @@ from typing import Iterable, List, Tuple
 
 import pytest
 
-from folkrec.model import Folksonomy, TagAssignment, Vocab, build_folksonomy
+from folkrec.model import Folksonomy, Vocab, build_folksonomy
 
 Row = Tuple[str, str, str, int]
 
@@ -16,12 +16,7 @@ def folksonomy_from_rows(rows: Iterable[Row]) -> Folksonomy:
     """Build a folksonomy from (user, item, tag, ts) label tuples."""
     vocab = Vocab()
     assignments = [
-        TagAssignment(
-            vocab.users.intern(user),
-            vocab.items.intern(item),
-            vocab.tags.intern(tag),
-            ts,
-        )
+        (vocab.users.intern(user), vocab.items.intern(item), vocab.tags.intern(tag), ts)
         for user, item, tag, ts in rows
     ]
     return build_folksonomy(assignments, vocab)

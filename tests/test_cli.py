@@ -325,3 +325,12 @@ def test_version_flag(capsys):
     import folkrec
 
     assert folkrec.__version__ in capsys.readouterr().out
+
+
+def test_every_exported_name_resolves_once():
+    import folkrec
+
+    assert len(set(folkrec.__all__)) == len(folkrec.__all__)
+    for name in folkrec.__all__:
+        assert hasattr(folkrec, name), name
+    assert not hasattr(folkrec, "TagAssignment")

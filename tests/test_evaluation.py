@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folkrec import evaluation
 from folkrec.errors import ConfigError, EmptyDatasetError
 from folkrec.evaluation import (
     K_MAX,
@@ -287,6 +288,37 @@ def test_workers_do_not_change_results():
         one = evaluate_algorithm(split, RecommenderConfig(tag), workers=1)
         two = evaluate_algorithm(split, RecommenderConfig(tag), workers=3)
         assert one == two
+
+
+def test_pool_size_is_capped_by_batches_and_cpus(monkeypatch):
+    seen = {}
+
+    class InProcessPool:
+        """Stand-in for ProcessPoolExecutor: records its size, runs everything here."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            seen["max_workers"] = max_workers
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, batches):
+            seen["batches"] = list(batches)
+            return map(fn, seen["batches"])
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(evaluation, "_WORKER_STATE", {})
+    _, split = _mini_split()
+    serial = evaluate_algorithm(split, RecommenderConfig("CF_B"), workers=1)
+    assert seen == {}
+    # the stand-in starts no process, so asking for this many is safe here
+    pooled = evaluate_algorithm(split, RecommenderConfig("CF_B"), workers=10_000)
+    assert 1 <= seen["max_workers"] <= min(len(seen["batches"]), os.cpu_count() or 1)
+    assert pooled == serial
 
 
 GOLDEN_CONFIGS = [

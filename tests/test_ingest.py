@@ -21,7 +21,7 @@ from folkrec.ingest import (
     sample_users,
     write_snapshot,
 )
-from folkrec.model import Folksonomy, TagAssignment, build_folksonomy, fingerprint
+from folkrec.model import Folksonomy, build_folksonomy, fingerprint
 from folkrec.split import chronological_split
 from folkrec.synth import write_tsv
 
@@ -36,7 +36,7 @@ def write_rows(path, rows):
 
 def assignments_of(folksonomy):
     """The folksonomy's deduplicated tag assignments, walked post by post."""
-    return [TagAssignment(p.user, p.item, tag, ts) for p in folksonomy.posts for tag, ts in p.tag_times]
+    return [(p.user, p.item, tag, ts) for p in folksonomy.posts for tag, ts in p.tag_times]
 
 
 def test_parse_basic_row(tmp_path):
@@ -44,12 +44,12 @@ def test_parse_basic_row(tmp_path):
     write_rows(path, [("u1", "i9", "web", 1300000000)])
     result = parse(DatasetSpec(path=str(path)))
     assert len(result.assignments) == 1
-    a = result.assignments[0]
+    user, item, tag, ts = result.assignments[0]
     vocab = result.vocab
-    assert vocab.users.label_of(a.user) == "u1"
-    assert vocab.items.label_of(a.item) == "i9"
-    assert vocab.tags.label_of(a.tag) == "web"
-    assert a.timestamp == 1300000000
+    assert vocab.users.label_of(user) == "u1"
+    assert vocab.items.label_of(item) == "i9"
+    assert vocab.tags.label_of(tag) == "web"
+    assert ts == 1300000000
     assert result.malformed == []
 
 
@@ -63,6 +63,25 @@ def test_malformed_rows_counted_with_line_numbers(tmp_path):
     result = parse(DatasetSpec(path=str(path)))
     assert len(result.assignments) == 2
     assert [line for line, _ in result.malformed] == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "fmt, valid, before_epoch",
+    [("epoch", "100", "-5"), ("iso8601", "1970-01-01T00:01:40Z", "1969-12-31T23:59:59Z")],
+)
+def test_timestamp_before_epoch_is_a_malformed_row(tmp_path, fmt, valid, before_epoch):
+    path = tmp_path / "d.tsv"
+    write_rows(
+        path,
+        [("u1", "i1", "web", valid), ("u2", "i1", "web", before_epoch), ("u3", "i2", "css", valid)],
+    )
+    result = parse(DatasetSpec(path=str(path), timestamp_format=fmt))
+    assert [line for line, _ in result.malformed] == [2]
+    assert "timestamp before epoch" in result.malformed[0][1]
+    assert [(result.vocab.users.label_of(user), ts) for user, _, _, ts in result.assignments] == [
+        ("u1", 100),
+        ("u3", 100),
+    ]
 
 
 def test_mostly_malformed_file_raises_format_error(tmp_path):
@@ -103,7 +122,7 @@ def test_iso8601_timestamps(tmp_path):
         ],
     )
     result = parse(DatasetSpec(path=str(path), timestamp_format="iso8601"))
-    assert [a.timestamp for a in result.assignments] == [1268534400] * 3
+    assert [ts for _, _, _, ts in result.assignments] == [1268534400] * 3
 
 
 def test_custom_column_order_and_delimiter(tmp_path):
@@ -111,9 +130,9 @@ def test_custom_column_order_and_delimiter(tmp_path):
     with open(path, "w") as fh:
         fh.write("100,web,i1,u1\n")
     result = parse(DatasetSpec(path=str(path), columns=(3, 2, 1, 0), delimiter=","))
-    a = result.assignments[0]
-    assert result.vocab.users.label_of(a.user) == "u1"
-    assert a.timestamp == 100
+    user, _, _, ts = result.assignments[0]
+    assert result.vocab.users.label_of(user) == "u1"
+    assert ts == 100
 
 
 def test_spec_validation():
@@ -139,7 +158,7 @@ def test_default_blacklist_removes_bibtex_import(tmp_path):
     )
     result = parse(DatasetSpec(path=str(path)))
     kept = filter_blacklisted_tags(result.assignments, DEFAULT_BLACKLIST, result.vocab)
-    labels = {result.vocab.tags.label_of(a.tag) for a in kept}
+    labels = {result.vocab.tags.label_of(tag) for _, _, tag, _ in kept}
     assert labels == {"web"}
 
 
@@ -164,7 +183,7 @@ def test_glob_blacklist(tmp_path):
     )
     result = parse(DatasetSpec(path=str(path)))
     kept = filter_blacklisted_tags(result.assignments, ("no-tag", "imported*"), result.vocab)
-    labels = {result.vocab.tags.label_of(a.tag) for a in kept}
+    labels = {result.vocab.tags.label_of(tag) for _, _, tag, _ in kept}
     # matching is case-insensitive because tags are case-folded at parse time
     assert labels == {"keepme"}
 
@@ -231,17 +250,13 @@ def test_unique_resource_removal_matches_brute_force():
         survivors = {
             item for item in f.items() if len(f.taggers_of_item(item)) >= 2
         }
-        expected_rows = sorted(
-            (a.user, a.item, a.tag, a.timestamp)
-            for a in assignments_of(f)
-            if a.item in survivors
-        )
+        expected_rows = sorted(row for row in assignments_of(f) if row[1] in survivors)
         if not expected_rows:
             with pytest.raises(EmptyDatasetError):
                 remove_unique_resources(f)
             continue
         cleaned = remove_unique_resources(f)
-        got_rows = sorted((a.user, a.item, a.tag, a.timestamp) for a in assignments_of(cleaned))
+        got_rows = sorted(assignments_of(cleaned))
         assert got_rows == expected_rows
 
 
@@ -291,8 +306,11 @@ def test_missing_file_raises_oserror():
 
 
 def _regrouped(folksonomy, keep):
-    """Reference for the post filters: flatten to tag assignments, keep, group again."""
-    return build_folksonomy([a for a in assignments_of(folksonomy) if keep(a)], folksonomy.vocab)
+    """Reference for the post filters: flatten to tag assignments, keep, group again.
+
+    ``keep`` is called with a row unpacked: ``keep(user, item, tag, ts)``.
+    """
+    return build_folksonomy([row for row in assignments_of(folksonomy) if keep(*row)], folksonomy.vocab)
 
 
 def _assert_same_posts(got, reference):
@@ -326,7 +344,7 @@ def test_post_filters_equal_regrouping_their_kept_assignments(seed, sample_fract
     users = f.users()
     kept_users = set(random.Random(seed).sample(users, math.ceil(round(sample_fraction * len(users), 9))))
     sampled = sample_users(f, sample_fraction, seed)
-    _assert_same_posts(sampled, _regrouped(f, lambda a: a.user in kept_users))
+    _assert_same_posts(sampled, _regrouped(f, lambda user, item, tag, ts: user in kept_users))
 
     shared = {i for i in sampled.items() if len(sampled.taggers_of_item(i)) >= 2}
     if not shared:
@@ -335,7 +353,7 @@ def test_post_filters_equal_regrouping_their_kept_assignments(seed, sample_fract
         cleaned = sampled
     else:
         cleaned = remove_unique_resources(sampled)
-        _assert_same_posts(cleaned, _regrouped(sampled, lambda a: a.item in shared))
+        _assert_same_posts(cleaned, _regrouped(sampled, lambda user, item, tag, ts: item in shared))
 
     held_out = {}
     for user in cleaned.users():
@@ -345,12 +363,12 @@ def test_post_filters_equal_regrouping_their_kept_assignments(seed, sample_fract
             n_test = max(1, math.floor(round(test_fraction * n, 9)))
             held_out[user] = frozenset(p.item for p in by_time[n - n_test :])
     split = chronological_split(cleaned, test_fraction)
-    reference = _regrouped(cleaned, lambda a: a.item not in held_out.get(a.user, ()))
+    reference = _regrouped(cleaned, lambda user, item, tag, ts: item not in held_out.get(user, ()))
     _assert_same_posts(split.train, reference)
     assert split.test == held_out
     last_use = {}
-    for a in assignments_of(reference):
-        last_use[a.user] = max(last_use.get(a.user, 0), a.timestamp)
+    for user, _, _, ts in assignments_of(reference):
+        last_use[user] = max(last_use.get(user, 0), ts)
     assert split.t_ref == {user: ts + 1 for user, ts in last_use.items()}
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from folkrec.errors import EmptyDatasetError
-from folkrec.model import Post, TagAssignment, Vocab, build_folksonomy, fingerprint, group_posts
+from folkrec.model import Post, Vocab, build_folksonomy, fingerprint, group_posts
 
 from conftest import folksonomy_from_rows, random_folksonomy, random_rows
 
@@ -40,35 +40,19 @@ def test_empty_input_raises():
         build_folksonomy([], Vocab())
 
 
-def test_negative_timestamp_rejected():
-    with pytest.raises(ValueError):
-        TagAssignment(0, 0, 0, -5)
-    with pytest.raises(ValueError):
-        TagAssignment(0, 0, 0, 5)._replace(timestamp=-5)
-    with pytest.raises(ValueError):
-        TagAssignment._make([0, 0, 0, -5])
-    assert TagAssignment(0, 0, 0, 5)._replace(tag=2) == (0, 0, 2, 5)
-
-
 def test_records_are_immutable(small_folksonomy):
-    assignment = TagAssignment(1, 2, 3, 4)
     post = small_folksonomy.posts[0]
-    for record, field in ((assignment, "timestamp"), (assignment, "user"), (post, "tag_times"), (post, "item")):
+    for field in ("tag_times", "item"):
         with pytest.raises(AttributeError):
-            setattr(record, field, 0)
+            setattr(post, field, 0)
     with pytest.raises(AttributeError):
-        assignment.extra = 1  # no instance dict either
-    with pytest.raises(AttributeError):
-        post.extra = 1
+        post.extra = 1  # no instance dict either
 
 
 def test_records_unpack_and_equal_plain_tuples():
-    assignment = TagAssignment(1, 2, 3, 4)
-    user, item, tag, timestamp = assignment
-    assert (user, item, tag, timestamp) == (1, 2, 3, 4) == assignment
-    assert repr(assignment) == "TagAssignment(user=1, item=2, tag=3, timestamp=4)"
     post = Post(0, 1, 90, ((2, 100), (5, 90)))
-    assert post == (0, 1, 90, ((2, 100), (5, 90)))
+    user, item, timestamp, tag_times = post
+    assert (user, item, timestamp, tag_times) == (0, 1, 90, ((2, 100), (5, 90))) == post
     assert repr(post) == "Post(user=0, item=1, timestamp=90, tag_times=((2, 100), (5, 90)))"
 
 
@@ -85,8 +69,6 @@ def test_folksonomy_pickles_with_the_same_fingerprint(small_folksonomy):
     assert restored.posts == small_folksonomy.posts
     assert all(type(post) is Post for post in restored.posts)
     assert restored.stats() == small_folksonomy.stats()
-    assignment = pickle.loads(pickle.dumps(TagAssignment(1, 2, 3, 4)))
-    assert type(assignment) is TagAssignment and assignment == (1, 2, 3, 4)
 
 
 def test_group_posts_merges_rows_and_sorts_by_user_item():
