@@ -3,9 +3,10 @@
 Input format: delimited text (TAB by default), one assignment per row as
 ``user item tag timestamp``, UTF-8, ``#``-prefixed comment lines ignored.
 The preprocessing pipeline runs in a fixed order: parse, blacklist filter,
-grouping into posts, user sampling, unique-resource removal. Only the
-grouping merges tag assignments; the two filters after it keep or drop whole
-posts, and the indexed ``Folksonomy`` is built once, from what they keep.
+user sampling, grouping into posts, unique-resource removal. The blacklist
+and the sample select rows, so only the sampled users' rows are grouped;
+unique-resource removal keeps or drops whole posts, and the indexed
+``Folksonomy`` is built once, from what it keeps.
 """
 
 from __future__ import annotations
@@ -16,14 +17,18 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fnmatch import fnmatchcase
+from operator import itemgetter
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ConfigError, EmptyDatasetError, FormatError
-from .model import Assignment, Folksonomy, Post, Vocab, _label_rows, build_folksonomy, group_posts
+from .model import Assignment, Folksonomy, Post, Vocab, _label_text, build_folksonomy, group_posts
 
 # Tags auto-generated by import tooling rather than chosen by a person.
 DEFAULT_BLACKLIST = ("bibtex-import",)
+
+_SNAPSHOT_HEADER = "# folkrec snapshot v1\n"
+_FINGERPRINT_PREFIX = "# fingerprint="
 
 
 @dataclass
@@ -108,10 +113,11 @@ def parse(spec: DatasetSpec) -> ParseResult:
     cu, ci, ct, cts = spec.columns
     needed = max(spec.columns) + 1
     delimiter = spec.delimiter
+    epoch = spec.timestamp_format == "epoch"
     ts_format = spec.timestamp_format
-    intern_user = vocab.users.intern
-    intern_item = vocab.items.intern
-    intern_tag = vocab.tags.intern
+    user_id, intern_user = vocab.users.lookup(), vocab.users.intern
+    item_id, intern_item = vocab.items.lookup(), vocab.items.intern
+    tag_id, intern_tag = vocab.tags.lookup(), vocab.tags.intern
     add = assignments.append
 
     try:
@@ -131,12 +137,25 @@ def parse(spec: DatasetSpec) -> ParseResult:
                 if not user or not item or not tag:
                     malformed.append((lineno, "empty user, item or tag field"))
                     continue
+                raw_ts = fields[cts]
                 try:
-                    ts = _parse_timestamp(fields[cts], ts_format)
+                    # _parse_timestamp with its epoch branch inlined, the common case
+                    ts = int(float(raw_ts)) if epoch else _parse_timestamp(raw_ts, ts_format)
+                    if ts < 0:
+                        raise ValueError("timestamp before epoch")
                 except (ValueError, OverflowError) as exc:
-                    malformed.append((lineno, f"bad timestamp {fields[cts]!r}: {exc}"))
+                    malformed.append((lineno, f"bad timestamp {raw_ts!r}: {exc}"))
                     continue
-                add((intern_user(user), intern_item(item), intern_tag(tag), ts))
+                u = user_id(user)
+                if u is None:
+                    u = intern_user(user)
+                i = item_id(item)
+                if i is None:
+                    i = intern_item(item)
+                t = tag_id(tag)
+                if t is None:
+                    t = intern_tag(tag)
+                add((u, i, t, ts))
     except UnicodeDecodeError:
         raise FormatError(f"{spec.path} line {_first_non_utf8_line(spec.path)} is not UTF-8 text") from None
 
@@ -168,18 +187,21 @@ def filter_blacklisted_tags(
     return [row for row in assignments if row[2] not in banned]
 
 
-def _sample_posts(posts: Sequence[Post], fraction: float, seed: int) -> Sequence[Post]:
-    """The posts of ceil(fraction * |U|) users drawn uniformly without replacement."""
+def _drawn_users(users: Iterable[int], fraction: float, seed: int) -> Optional[Set[int]]:
+    """ceil(fraction * |U|) of the distinct ``users``, drawn uniformly without replacement.
+
+    The draw runs over the users in ascending id order, so it depends on the
+    user set and the seed alone. None at fraction 1.0, where every user is
+    kept and ``users`` is not read.
+    """
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"sample fraction must be in (0, 1], got {fraction}")
     if fraction == 1.0:
-        return posts
-    users = sorted({post.user for post in posts})
+        return None
+    ordered = sorted(set(users))
     # round() guards against IEEE artifacts like 0.1 * 100 = 10.000000000000002
-    keep = math.ceil(round(fraction * len(users), 9))
-    rng = random.Random(seed)
-    kept = set(rng.sample(users, keep))
-    return [post for post in posts if post.user in kept]
+    keep = math.ceil(round(fraction * len(ordered), 9))
+    return set(random.Random(seed).sample(ordered, keep))
 
 
 def _shared_item_posts(posts: Sequence[Post]) -> List[Post]:
@@ -193,8 +215,10 @@ def _shared_item_posts(posts: Sequence[Post]) -> List[Post]:
 
 def sample_users(folksonomy: Folksonomy, fraction: float, seed: int) -> Folksonomy:
     """Keep ceil(fraction * |U|) users drawn uniformly without replacement."""
-    posts = _sample_posts(folksonomy.posts, fraction, seed)
-    return folksonomy if posts is folksonomy.posts else Folksonomy(posts, folksonomy.vocab)
+    drawn = _drawn_users(folksonomy.users(), fraction, seed)
+    if drawn is None:
+        return folksonomy
+    return Folksonomy([post for post in folksonomy.posts if post.user in drawn], folksonomy.vocab)
 
 
 def remove_unique_resources(folksonomy: Folksonomy) -> Folksonomy:
@@ -208,17 +232,22 @@ def remove_unique_resources(folksonomy: Folksonomy) -> Folksonomy:
 
 
 def run_pipeline(spec: DatasetSpec) -> Tuple[Folksonomy, ParseResult]:
-    """parse -> blacklist filter -> grouping -> user sampling -> unique-resource removal.
+    """parse -> blacklist filter -> user sampling -> grouping -> unique-resource removal.
 
-    Both filters select posts, so the indexed folksonomy is built once, from
-    the posts they keep; the result equals the one the public steps give.
+    The sample is drawn over the users with a kept row, who are exactly the
+    users with a post once grouped, so only the sampled users' rows are
+    grouped. Unique-resource removal selects posts, and the indexed
+    folksonomy is built once, from the posts it keeps; the result equals the
+    one the public steps give.
     """
     parsed = parse(spec)
     kept = filter_blacklisted_tags(parsed.assignments, spec.blacklist, parsed.vocab)
     if not kept:
         raise EmptyDatasetError(f"no usable tag assignments in {spec.path}")
-    posts = _sample_posts(group_posts(kept), spec.sample_fraction, spec.seed)
-    return Folksonomy(_shared_item_posts(posts), parsed.vocab), parsed
+    drawn = _drawn_users(map(itemgetter(0), kept), spec.sample_fraction, spec.seed)
+    if drawn is not None:
+        kept = [row for row in kept if row[0] in drawn]
+    return Folksonomy(_shared_item_posts(group_posts(kept)), parsed.vocab), parsed
 
 
 def write_snapshot(folksonomy: Folksonomy, path: str | Path) -> None:
@@ -227,17 +256,41 @@ def write_snapshot(folksonomy: Folksonomy, path: str | Path) -> None:
     The snapshot re-parses with the default DatasetSpec column mapping, so
     downstream stages load it with :func:`load_snapshot`.
     """
+    body = _label_text(folksonomy)  # caches the fingerprint the header needs
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# folkrec snapshot v1\n")
-        fh.write(f"# fingerprint={folksonomy.fingerprint()}\n")
+        fh.write(_SNAPSHOT_HEADER)
+        fh.write(f"{_FINGERPRINT_PREFIX}{folksonomy.fingerprint()}\n")
         fh.write(f"# {folksonomy.stats().line()}\n")
-        for row in _label_rows(folksonomy):
-            fh.write(row + "\n")
+        if body:
+            fh.write(body)
+            fh.write("\n")
+
+
+def _written_fingerprint(path: str | Path) -> Optional[str]:
+    """The ``# fingerprint=`` header of a file that starts like a snapshot, else None."""
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.readline() != _SNAPSHOT_HEADER:
+            return None
+        line = fh.readline()
+    return line[len(_FINGERPRINT_PREFIX) :].rstrip("\n") if line.startswith(_FINGERPRINT_PREFIX) else None
 
 
 def load_snapshot(path: str | Path) -> Folksonomy:
-    """Load a snapshot (or any default-format dump) without re-filtering."""
+    """Load a snapshot (or any default-format dump) without re-filtering.
+
+    A snapshot must hold what its ``# fingerprint=`` header says: a truncated
+    or edited one is a FormatError. The checked digest stays cached as the
+    folksonomy's fingerprint. A dump without that header loads unchecked.
+    """
     parsed = parse(DatasetSpec(path=str(path), blacklist=()))
     if not parsed.assignments:
         raise EmptyDatasetError(f"snapshot {path} holds no assignments")
-    return build_folksonomy(parsed.assignments, parsed.vocab)
+    folksonomy = build_folksonomy(parsed.assignments, parsed.vocab)
+    del parsed  # free the rows before the fingerprint's label rows are built
+    written = _written_fingerprint(path)
+    if written is not None and folksonomy.fingerprint() != written:
+        raise FormatError(
+            f"snapshot {path} does not match its header: fingerprint {folksonomy.fingerprint()} "
+            f"!= {written}; the file was truncated or edited"
+        )
+    return folksonomy

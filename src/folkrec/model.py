@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import EmptyDatasetError
 
@@ -40,6 +40,14 @@ class Interner:
             self._by_label[label] = ident
             self._labels.append(label)
         return ident
+
+    def lookup(self) -> Callable[[str], Optional[int]]:
+        """``label -> id``, or None for an unseen label, as the mapping's own ``get``.
+
+        A hot loop calls it without a Python frame per label and falls back to
+        :meth:`intern` only for labels it has not seen.
+        """
+        return self._by_label.get
 
     def id_of(self, label: str) -> int:
         """Look up an existing label; raises KeyError for unknown labels."""
@@ -206,12 +214,12 @@ class Folksonomy:
         data (even with rows shuffled, which permutes interned ids) agree.
         """
         if self._fingerprint is None:
-            self._fingerprint = hashlib.sha256("\n".join(_label_rows(self)).encode("utf-8")).hexdigest()
+            _label_text(self)
         return self._fingerprint
 
 
 def _label_rows(folksonomy: Folksonomy) -> List[str]:
-    """Sorted ``user\titem\ttag\tts`` label rows: the snapshot body and the fingerprint input."""
+    """Sorted ``user\titem\ttag\tts`` label rows, one per distinct tag of each post."""
     vocab = folksonomy.vocab
     rows = []
     for post in folksonomy.posts:
@@ -221,6 +229,18 @@ def _label_rows(folksonomy: Folksonomy) -> List[str]:
             rows.append(f"{user}\t{item}\t{vocab.tags.label_of(tag)}\t{ts}")
     rows.sort()
     return rows
+
+
+def _label_text(folksonomy: Folksonomy) -> str:
+    """The sorted label rows joined by newlines: the snapshot body and the fingerprint input.
+
+    Caches the text's digest as the folksonomy's fingerprint if it has none
+    yet, so a snapshot writer builds the rows once for both.
+    """
+    text = "\n".join(_label_rows(folksonomy))
+    if folksonomy._fingerprint is None:
+        folksonomy._fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return text
 
 
 def group_posts(assignments: Iterable[Assignment]) -> List[Post]:

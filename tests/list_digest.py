@@ -1,31 +1,47 @@
-"""Print one sha256 over every recommended list and its diversity.
+"""Print one sha256 over every recommended list, and one over ingest's output.
 
 A check that an optimization left every output bit-identical: run it before
-and after the change and compare the digests. For ``SynthConfig()`` seeds 1
-and 2, each of the six algorithms (default configs) recommends for every
-training user; each list's (item, score) entries, scores as float hex, and
-the list's diversity, as float hex, go into the digest. It imports the
-``folkrec`` package next to it, so it measures the checkout it sits in. Run
-from anywhere:
+and after the change and compare the digests. It imports the ``folkrec``
+package next to it, so it measures the checkout it sits in. Run from
+anywhere:
 
     python3 tests/list_digest.py
+
+``lists``: for ``SynthConfig()`` seeds 1 and 2, each of the six algorithms
+(default configs) recommends for every training user; each list's (item,
+score) entries, scores as float hex, and the list's diversity, as float hex,
+go into the digest.
+
+``ingest``: for the same seeds, the ``SynthConfig()`` folksonomy is dumped
+with the hazards of a real export mixed in (comment lines, malformed rows,
+blacklisted and mixed-case tags, re-imported duplicates with later
+timestamps) and its rows shuffled. ``run_pipeline`` ingests it at sample
+fractions 0.5 and 1.0; the malformed-row line numbers and reasons and the
+``write_snapshot`` bytes go into the digest. Two users no post holds, one
+with only blacklisted tags and one with only malformed rows, pin that the
+user sample is drawn over the users with a kept row.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import random
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from folkrec.evaluation import diversity
+from folkrec.ingest import DatasetSpec, run_pipeline, write_snapshot
 from folkrec.recommenders import ALGORITHMS, K_MAX, RecommenderConfig, build_recommender
 from folkrec.similarity import item_tag_vectors
 from folkrec.split import chronological_split
 from folkrec.synth import SynthConfig, generate
 
 SEEDS = (1, 2)
+SAMPLE_FRACTIONS = (0.5, 1.0)
+BLACKLIST = ("bibtex-import", "imported*")
 
 
 def list_digest() -> str:
@@ -44,5 +60,59 @@ def list_digest() -> str:
     return digest.hexdigest()
 
 
+def hazardous_dump(seed: int) -> str:
+    """The SynthConfig() folksonomy as a raw export: every row, plus hazards, shuffled."""
+    folksonomy = generate(SynthConfig(), seed)
+    vocab = folksonomy.vocab
+    rng = random.Random(f"ingest-{seed}")
+    lines = []
+    for post in folksonomy.posts:
+        user, item = vocab.users.label_of(post.user), vocab.items.label_of(post.item)
+        for tag_id, ts in post.tag_times:
+            tag = vocab.tags.label_of(tag_id)
+            if rng.random() < 0.05:
+                tag = tag.upper()
+            lines.append(f"{user}\t{item}\t{tag}\t{ts}\n")
+            if rng.random() < 0.02:
+                lines.append(f"{user}\t{item}\t{tag.title()}\t{ts + rng.randint(1, 86400)}\n")
+            if rng.random() < 0.01:
+                lines.append(f"{user}\t{item}\t{rng.choice(['bibtex-import', 'Imported-2007'])}\t{ts}\n")
+            if rng.random() < 0.01:
+                bad = (
+                    f"{user}\t{item}\n",
+                    f"{user}\t{item}\t \t{ts}\n",
+                    f"{user}\t{item}\t{tag}\tsoon\n",
+                    f"{user}\t{item}\t{tag}\t-{ts}\n",
+                )
+                lines.append(rng.choice(bad))
+            if rng.random() < 0.002:
+                lines.append("# export batch\n")
+    # users no post holds: one tags only blacklisted tags, one writes only malformed rows
+    for item_id in range(5):
+        item = vocab.items.label_of(item_id)
+        lines.append(f"import-bot\t{item}\tbibtex-import\t{SynthConfig().start}\n")
+        lines.append(f"broken-user\t{item}\tweb\tsoon\n")
+    rng.shuffle(lines)
+    return "".join(lines)
+
+
+def ingest_digest() -> str:
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        dump, snapshot = os.path.join(tmp, "dump.tsv"), os.path.join(tmp, "snapshot.tsv")
+        for seed in SEEDS:
+            with open(dump, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(hazardous_dump(seed))
+            for fraction in SAMPLE_FRACTIONS:
+                spec = DatasetSpec(path=dump, blacklist=BLACKLIST, sample_fraction=fraction, seed=seed)
+                folksonomy, parsed = run_pipeline(spec)
+                write_snapshot(folksonomy, snapshot)
+                digest.update(f"{seed} {fraction} {parsed.malformed!r}\n".encode("utf-8"))
+                with open(snapshot, "rb") as fh:
+                    digest.update(fh.read())
+    return digest.hexdigest()
+
+
 if __name__ == "__main__":
-    print(list_digest())
+    print("lists", list_digest())
+    print("ingest", ingest_digest())

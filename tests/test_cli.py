@@ -239,6 +239,22 @@ def test_run_from_snapshot(workdir, capsys):
     assert (workdir / "from_snap" / "report.txt").exists()
 
 
+def test_run_from_an_edited_snapshot_is_data_error(workdir, capsys):
+    run_cli("ingest", "--config", workdir / "mini_config.yaml")
+    snapshot = workdir / "out" / "snapshot.tsv"
+    lines = snapshot.read_text(encoding="utf-8").splitlines(keepends=True)
+    snapshot.write_text("".join(lines[:-1]), encoding="utf-8")
+    snapshot_config = workdir / "snap_config.yaml"
+    snapshot_config.write_text("snapshot: out/snapshot.tsv\nout_dir: from_snap\nalgorithms: [MP]\n")
+    capsys.readouterr()
+    code = run_cli("run", "--config", snapshot_config)
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert str(snapshot) in err
+    assert not (workdir / "from_snap").exists()
+
+
 def test_split_writes_three_files(workdir, capsys):
     code = run_cli("split", "--config", workdir / "mini_config.yaml", "--out", workdir / "sp")
     assert code == EXIT_OK

@@ -1,14 +1,17 @@
 """Parsing, tag blacklisting, user sampling, unique-resource removal, snapshots."""
 
+import hashlib
 import math
 import os
 import random
 import tempfile
+from datetime import datetime
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folkrec import ingest, model
 from folkrec.errors import ConfigError, EmptyDatasetError, FormatError
 from folkrec.ingest import (
     DEFAULT_BLACKLIST,
@@ -21,7 +24,7 @@ from folkrec.ingest import (
     sample_users,
     write_snapshot,
 )
-from folkrec.model import Folksonomy, build_folksonomy, fingerprint
+from folkrec.model import Folksonomy, Vocab, build_folksonomy, fingerprint
 from folkrec.split import chronological_split
 from folkrec.synth import write_tsv
 
@@ -300,6 +303,78 @@ def test_snapshot_round_trip(tmp_path, small_folksonomy):
     assert head[2] == "# " + small_folksonomy.stats().line()
 
 
+def _count_label_row_builds(monkeypatch):
+    calls = []
+    original = model._label_rows
+
+    def counting(folksonomy):
+        calls.append(folksonomy)
+        return original(folksonomy)
+
+    monkeypatch.setattr(model, "_label_rows", counting)
+    return calls
+
+
+def test_write_snapshot_builds_the_label_rows_once(tmp_path, monkeypatch, small_folksonomy):
+    vocab = small_folksonomy.vocab
+    rows = sorted(
+        f"{vocab.users.label_of(u)}\t{vocab.items.label_of(i)}\t{vocab.tags.label_of(t)}\t{ts}"
+        for u, i, t, ts in assignments_of(small_folksonomy)
+    )
+    digest = hashlib.sha256("\n".join(rows).encode("utf-8")).hexdigest()
+    fresh = Folksonomy(small_folksonomy.posts, vocab)  # no cached fingerprint
+    calls = _count_label_row_builds(monkeypatch)
+    path = tmp_path / "snap.tsv"
+    write_snapshot(fresh, path)
+    assert len(calls) == 1
+    expected = f"# folkrec snapshot v1\n# fingerprint={digest}\n# {fresh.stats().line()}\n" + "".join(r + "\n" for r in rows)
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert fresh.fingerprint() == digest
+    assert len(calls) == 1  # the digest of the written rows was cached
+    assert Folksonomy(small_folksonomy.posts, vocab).fingerprint() == digest
+    assert len(calls) == 2
+
+
+def _edit_last_row(text):
+    user, item, tag, ts = text.splitlines()[-1].split("\t")
+    return text.rsplit("\n", 2)[0] + f"\n{user}\t{item}\t{tag}\t{int(ts) + 1}\n"
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda text: text.rsplit("\n", 2)[0] + "\n", id="dropped-last-row"),
+        pytest.param(_edit_last_row, id="edited-row"),
+    ],
+)
+def test_load_snapshot_rejects_a_body_that_does_not_match_its_header(tmp_path, small_folksonomy, damage):
+    path = tmp_path / "snap.tsv"
+    write_snapshot(small_folksonomy, path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(damage(text), encoding="utf-8")
+    with pytest.raises(FormatError, match=str(path)):
+        load_snapshot(path)
+
+
+def test_headerless_dump_loads_unchecked(tmp_path, small_folksonomy):
+    path = tmp_path / "snap.tsv"
+    write_snapshot(small_folksonomy, path)
+    body = path.read_text(encoding="utf-8").splitlines(keepends=True)[3:]
+    path.write_text("".join(body[:-1]), encoding="utf-8")  # no header, last row dropped
+    loaded = load_snapshot(path)
+    assert loaded.stats().assignments == small_folksonomy.stats().assignments - 1
+    assert loaded.fingerprint() == Folksonomy(loaded.posts, loaded.vocab).fingerprint()
+
+
+def test_load_snapshot_caches_the_checked_fingerprint(tmp_path, monkeypatch, small_folksonomy):
+    path = tmp_path / "snap.tsv"
+    write_snapshot(small_folksonomy, path)
+    calls = _count_label_row_builds(monkeypatch)
+    loaded = load_snapshot(path)
+    assert loaded.fingerprint() == small_folksonomy.fingerprint()
+    assert len(calls) == 1
+
+
 def test_missing_file_raises_oserror():
     with pytest.raises(OSError):
         parse(DatasetSpec(path="/nonexistent/nope.tsv"))
@@ -444,3 +519,143 @@ def test_run_pipeline_builds_one_folksonomy(tmp_path, monkeypatch):
     assert built == [len(folksonomy.posts)]
     _stepwise(spec)  # the counter sees every build: one per public step
     assert len(built) == 4
+
+
+def test_only_the_sampled_users_rows_are_grouped(tmp_path, monkeypatch):
+    path = tmp_path / "d.tsv"
+    write_tsv(random_folksonomy(5), str(path))
+    spec = DatasetSpec(path=str(path), sample_fraction=0.5, seed=1)
+    parsed = parse(spec)
+    kept = filter_blacklisted_tags(parsed.assignments, spec.blacklist, parsed.vocab)
+    users = sorted({user for user, _, _, _ in kept})
+    drawn = set(random.Random(spec.seed).sample(users, math.ceil(round(0.5 * len(users), 9))))
+    grouped = []
+    original = ingest.group_posts
+
+    def recording_group_posts(rows):
+        grouped.append(list(rows))
+        return original(grouped[-1])
+
+    monkeypatch.setattr(ingest, "group_posts", recording_group_posts)
+    run_pipeline(spec)
+    assert grouped == [[row for row in kept if row[0] in drawn]]
+    assert len(grouped[0]) < len(kept)
+
+
+def _dump_with_users_no_post_holds(path):
+    """Users u0..u7 on shared items; "ghost" tags only blacklisted tags and
+    "broken" only writes malformed rows. Both are met before any other user."""
+    lines = ["ghost\tr1\tbibtex-import\t50\n", "broken\tr1\tweb\tsoon\n", "ghost\tr2\tImported-2007\t60\n"]
+    rng = random.Random(7)
+    for n in range(8):
+        for item in rng.sample(["r1", "r2", "r3", "r4", "r5"], 3):
+            lines.append(f"u{n}\t{item}\t{rng.choice(['web', 'css', 'ml'])}\t{100 + n * 10}\n")
+    lines.append("broken\tr2\n")
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_draw_runs_over_users_with_a_kept_row(tmp_path, seed):
+    # ghost is interned (its rows parse) but has no kept row; broken is never
+    # interned; a draw over vocab.users, or over every user in the file,
+    # gives another sample
+    path = tmp_path / "d.tsv"
+    _dump_with_users_no_post_holds(path)
+    spec = DatasetSpec(path=str(path), blacklist=("bibtex-import", "imported*"), sample_fraction=0.5, seed=seed)
+    assert _outcome(run_pipeline, spec) == _outcome(_stepwise, spec)
+
+
+def _reference_parse(path, spec):
+    """parse spelled out plainly: one intern call and one _parse_timestamp call per valid row."""
+    vocab = Vocab()
+    rows, malformed, data_rows = [], [], 0
+    needed = max(spec.columns) + 1
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip() or line.strip().startswith("#"):
+                continue
+            data_rows += 1
+            fields = line.rstrip("\n").split(spec.delimiter)
+            if len(fields) < needed:
+                malformed.append((lineno, f"expected at least {needed} columns, got {len(fields)}"))
+                continue
+            user, item, tag, raw_ts = (fields[c] for c in spec.columns)
+            user, item, tag = user.strip(), item.strip(), tag.strip().lower()
+            if not user or not item or not tag:
+                malformed.append((lineno, "empty user, item or tag field"))
+                continue
+            try:
+                ts = ingest._parse_timestamp(raw_ts, spec.timestamp_format)
+            except (ValueError, OverflowError) as exc:
+                malformed.append((lineno, f"bad timestamp {raw_ts!r}: {exc}"))
+                continue
+            rows.append((vocab.users.intern(user), vocab.items.intern(item), vocab.tags.intern(tag), ts))
+    return rows, vocab, data_rows, malformed
+
+
+# mixed case and space padding; one label in about twenty is blank
+_PAD = st.sampled_from(["", "", " "])
+_LABEL = st.tuples(st.sampled_from(range(20)), _PAD, st.text(alphabet="aAbZ0_É", min_size=1, max_size=3), _PAD).map(
+    lambda t: " " if t[0] == 0 else "".join(t[1:])
+)
+
+_TIMESTAMPS = {
+    "epoch": st.one_of(
+        st.integers(min_value=0, max_value=2 * 10**9).map(str),
+        st.integers(min_value=-(10**12), max_value=10**12).map(str),
+        st.sampled_from(["12.7", "-0.5", "1e400", "-1e400", "nan", "1e3", " 42 ", "", "soon", "0x10", "1_000"]),
+    ),
+    "iso8601": st.one_of(
+        st.datetimes(min_value=datetime(1960, 1, 1)).map(lambda d: d.isoformat()),
+        st.datetimes(min_value=datetime(1960, 1, 1)).map(lambda d: d.isoformat(sep=" ") + "Z"),
+        st.sampled_from(
+            ["2010-03-14T02:40:00Z", "2010-03-14 02:40:00+02:00", "1969-12-31T23:59:59Z", "2010-13-01", "", "100"]
+        ),
+    ),
+}
+
+
+@st.composite
+def _dumps(draw):
+    fmt = draw(st.sampled_from(["epoch", "iso8601"]))
+    delimiter = draw(st.sampled_from(["\t", ",", ";", "::"]))
+    width = draw(st.integers(min_value=4, max_value=6))
+    columns = tuple(draw(st.permutations(range(width)))[:4])
+    lines = []
+    for _ in range(draw(st.integers(min_value=0, max_value=25))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["comment", "blank", "short"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# export", "  # indented", "#"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        else:
+            fields = [draw(_LABEL) for _ in range(width)]
+            fields[columns[3]] = draw(_TIMESTAMPS[fmt])
+            if kind == "short":
+                fields = fields[: draw(st.integers(min_value=1, max_value=max(columns)))]
+            lines.append(delimiter.join(fields))
+    text = "".join(line + "\n" for line in lines)
+    return {"columns": columns, "delimiter": delimiter, "timestamp_format": fmt}, text
+
+
+@given(_dumps())
+@settings(max_examples=100, deadline=None)
+def test_parse_equals_a_plain_reference_parser(dump):
+    layout, text = dump
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dump.txt")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        spec = DatasetSpec(path=path, **layout)
+        rows, vocab, data_rows, malformed = _reference_parse(path, spec)
+        if len(malformed) * 2 > data_rows:
+            with pytest.raises(FormatError):
+                parse(spec)
+            return
+        result = parse(spec)
+    assert result.assignments == rows
+    for name in ("users", "items", "tags"):
+        got, want = getattr(result.vocab, name), getattr(vocab, name)
+        assert [got.label_of(i) for i in range(len(got))] == [want.label_of(i) for i in range(len(want))]
+    assert result.data_rows == data_rows
+    assert result.malformed == malformed
