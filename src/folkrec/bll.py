@@ -81,5 +81,8 @@ def build_bll_profile(train: Folksonomy, user: int, t_ref: int, params: BllParam
 
 
 def bll_item(profile: Mapping[int, float], item_tags: Iterable[int]) -> float:
-    """Summed profile weight of the item's tags the user has used; 0.0 on no overlap."""
-    return math.fsum(profile[t] for t in sorted(item_tags) if t in profile)
+    """Summed profile weight of the item's tags the user has used; 0.0 on no overlap.
+
+    ``fsum`` rounds the exact sum once, so the order of ``item_tags`` does not matter.
+    """
+    return math.fsum(profile[t] for t in item_tags if t in profile)

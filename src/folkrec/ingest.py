@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ConfigError, EmptyDatasetError, FormatError
-from .model import Assignment, Folksonomy, Post, Vocab, _label_text, build_folksonomy, group_posts
+from .model import Assignment, Folksonomy, Post, Vocab, _label_chunks, _snapshot_rows, build_folksonomy, group_posts
 
 # Tags auto-generated by import tooling rather than chosen by a person.
 DEFAULT_BLACKLIST = ("bibtex-import",)
@@ -119,6 +119,7 @@ def parse(spec: DatasetSpec) -> ParseResult:
     item_id, intern_item = vocab.items.lookup(), vocab.items.intern
     tag_id, intern_tag = vocab.tags.lookup(), vocab.tags.intern
     add = assignments.append
+    ts, ts_text = 0, None  # ts was parsed from ts_text
 
     try:
         with open(spec.path, "r", encoding="utf-8") as fh:
@@ -138,14 +139,18 @@ def parse(spec: DatasetSpec) -> ParseResult:
                     malformed.append((lineno, "empty user, item or tag field"))
                     continue
                 raw_ts = fields[cts]
-                try:
-                    # _parse_timestamp with its epoch branch inlined, the common case
-                    ts = int(float(raw_ts)) if epoch else _parse_timestamp(raw_ts, ts_format)
-                    if ts < 0:
-                        raise ValueError("timestamp before epoch")
-                except (ValueError, OverflowError) as exc:
-                    malformed.append((lineno, f"bad timestamp {raw_ts!r}: {exc}"))
-                    continue
+                # the rows of one post mostly repeat their timestamp text: reuse the
+                # last value parsed without error, so those rows share one int
+                if raw_ts != ts_text:
+                    try:
+                        # _parse_timestamp with its epoch branch inlined, the common case
+                        parsed_ts = int(float(raw_ts)) if epoch else _parse_timestamp(raw_ts, ts_format)
+                        if parsed_ts < 0:
+                            raise ValueError("timestamp before epoch")
+                    except (ValueError, OverflowError) as exc:
+                        malformed.append((lineno, f"bad timestamp {raw_ts!r}: {exc}"))
+                        continue
+                    ts, ts_text = parsed_ts, raw_ts
                 u = user_id(user)
                 if u is None:
                     u = intern_user(user)
@@ -254,15 +259,16 @@ def write_snapshot(folksonomy: Folksonomy, path: str | Path) -> None:
     """Write the canonical snapshot: stats header plus label rows in sorted order.
 
     The snapshot re-parses with the default DatasetSpec column mapping, so
-    downstream stages load it with :func:`load_snapshot`.
+    downstream stages load it with :func:`load_snapshot`. The body is written
+    piece by piece from the sorted rows, never joined whole.
     """
-    body = _label_text(folksonomy)  # caches the fingerprint the header needs
+    rows = _snapshot_rows(folksonomy)  # caches the fingerprint the header needs
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_SNAPSHOT_HEADER)
         fh.write(f"{_FINGERPRINT_PREFIX}{folksonomy.fingerprint()}\n")
         fh.write(f"# {folksonomy.stats().line()}\n")
-        if body:
-            fh.write(body)
+        for chunk in _label_chunks(rows):
+            fh.write(chunk)
             fh.write("\n")
 
 

@@ -11,13 +11,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import EmptyDatasetError
 
 # One tag assignment as interned ids: (user, item, tag, timestamp). Timestamps
 # are checked non-negative where rows enter: at parse and in SynthConfig.
 Assignment = Tuple[int, int, int, int]
+
+# Label rows per piece when a snapshot body or its digest is streamed: few
+# enough that one joined piece is small, enough that the joins stay cheap.
+_CHUNK_ROWS = 4096
 
 
 class Interner:
@@ -214,7 +220,7 @@ class Folksonomy:
         data (even with rows shuffled, which permutes interned ids) agree.
         """
         if self._fingerprint is None:
-            _label_text(self)
+            self._fingerprint = _label_digest(_label_rows(self))
         return self._fingerprint
 
 
@@ -231,16 +237,38 @@ def _label_rows(folksonomy: Folksonomy) -> List[str]:
     return rows
 
 
-def _label_text(folksonomy: Folksonomy) -> str:
-    """The sorted label rows joined by newlines: the snapshot body and the fingerprint input.
+def _label_chunks(rows: Sequence[str]) -> Iterator[str]:
+    """The rows joined by newlines, in consecutive pieces of up to ``_CHUNK_ROWS`` rows.
 
-    Caches the text's digest as the folksonomy's fingerprint if it has none
-    yet, so a snapshot writer builds the rows once for both.
+    Joined by newlines in turn, the pieces give the whole text. Each piece is
+    built when it is asked for, so a reader that consumes them one at a time
+    holds one piece next to the rows, never the whole text.
     """
-    text = "\n".join(_label_rows(folksonomy))
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        yield "\n".join(rows[start : start + _CHUNK_ROWS])
+
+
+def _label_digest(rows: Sequence[str]) -> str:
+    """sha256 of the rows joined by newlines (the fingerprint), fed piece by piece."""
+    digest = hashlib.sha256()
+    separator = b""
+    for chunk in _label_chunks(rows):
+        digest.update(separator)
+        digest.update(chunk.encode("utf-8"))
+        separator = b"\n"
+    return digest.hexdigest()
+
+
+def _snapshot_rows(folksonomy: Folksonomy) -> List[str]:
+    """The sorted label rows, the snapshot body, with their digest cached as the fingerprint.
+
+    The fingerprint is taken from these rows if the folksonomy has none yet,
+    so a snapshot writer builds the rows once for both.
+    """
+    rows = _label_rows(folksonomy)
     if folksonomy._fingerprint is None:
-        folksonomy._fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return text
+        folksonomy._fingerprint = _label_digest(rows)
+    return rows
 
 
 def group_posts(assignments: Iterable[Assignment]) -> List[Post]:
@@ -250,20 +278,21 @@ def group_posts(assignments: Iterable[Assignment]) -> List[Post]:
     earliest among them. Duplicate (user, item, tag) rows collapse to the
     earliest use so re-imports cannot inflate frequency counts. The result
     does not depend on input order.
+
+    One sort does the grouping: in (user, item, tag, timestamp) order a
+    post's rows are adjacent, its tags ascend, and the first row of each tag
+    is that tag's earliest use.
     """
-    grouped: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for user, item, tag, ts in assignments:
-        tag_times = grouped.get((user, item))
-        if tag_times is None:
-            grouped[user, item] = {tag: ts}
-        else:
-            prev = tag_times.get(tag)
-            if prev is None or ts < prev:
-                tag_times[tag] = ts
-    return [
-        Post(user, item, min(tag_times.values()), tuple(sorted(tag_times.items())))
-        for (user, item), tag_times in sorted(grouped.items())
-    ]
+    posts: List[Post] = []
+    for (user, item), rows in groupby(sorted(assignments), itemgetter(0, 1)):
+        tag_times: List[Tuple[int, int]] = []
+        last_tag = None
+        for _, _, tag, ts in rows:
+            if tag != last_tag:
+                tag_times.append((tag, ts))
+                last_tag = tag
+        posts.append(Post(user, item, min(map(itemgetter(1), tag_times)), tuple(tag_times)))
+    return posts
 
 
 def build_folksonomy(assignments: Iterable[Assignment], vocab: Vocab) -> Folksonomy:

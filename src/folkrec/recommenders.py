@@ -215,7 +215,7 @@ class Cirtt(_NeighborhoodRecommender):
             return ()
         sims = summed_item_cosines(self.item_vectors, self.train.items_of_user(user), contrib)
         scored = sorted(
-            [(-(sim * bll_item(profile, self.train.item_tags(item))), -sim, item) for item, sim in sims.items()]
+            [(-(sim * bll_item(profile, self.train.item_tag_counts(item))), -sim, item) for item, sim in sims.items()]
         )
         return ((item, -neg_pred) for neg_pred, _, item in scored)
 

@@ -15,11 +15,13 @@ go into the digest.
 ``ingest``: for the same seeds, the ``SynthConfig()`` folksonomy is dumped
 with the hazards of a real export mixed in (comment lines, malformed rows,
 blacklisted and mixed-case tags, re-imported duplicates with later
-timestamps) and its rows shuffled. ``run_pipeline`` ingests it at sample
-fractions 0.5 and 1.0; the malformed-row line numbers and reasons and the
-``write_snapshot`` bytes go into the digest. Two users no post holds, one
-with only blacklisted tags and one with only malformed rows, pin that the
-user sample is drawn over the users with a kept row.
+timestamps), once with its rows shuffled and once with each post's rows
+adjacent, as exports write them. ``run_pipeline`` ingests each dump at
+sample fractions 0.5 and 1.0; the malformed-row line numbers and reasons,
+the ``write_snapshot`` bytes, and the fingerprint and stats line of the
+snapshot reloaded with ``load_snapshot`` go into the digest. Two users no
+post holds, one with only blacklisted tags and one with only malformed
+rows, pin that the user sample is drawn over the users with a kept row.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from folkrec.evaluation import diversity
-from folkrec.ingest import DatasetSpec, run_pipeline, write_snapshot
+from folkrec.ingest import DatasetSpec, load_snapshot, run_pipeline, write_snapshot
 from folkrec.recommenders import ALGORITHMS, K_MAX, RecommenderConfig, build_recommender
 from folkrec.similarity import item_tag_vectors
 from folkrec.split import chronological_split
@@ -60,8 +62,12 @@ def list_digest() -> str:
     return digest.hexdigest()
 
 
-def hazardous_dump(seed: int) -> str:
-    """The SynthConfig() folksonomy as a raw export: every row, plus hazards, shuffled."""
+def hazardous_dump(seed: int, shuffled: bool) -> str:
+    """The SynthConfig() folksonomy as a raw export: every row, plus hazards, optionally shuffled.
+
+    Unshuffled, each post's rows, its duplicates and its bad rows among them,
+    are adjacent.
+    """
     folksonomy = generate(SynthConfig(), seed)
     vocab = folksonomy.vocab
     rng = random.Random(f"ingest-{seed}")
@@ -92,7 +98,8 @@ def hazardous_dump(seed: int) -> str:
         item = vocab.items.label_of(item_id)
         lines.append(f"import-bot\t{item}\tbibtex-import\t{SynthConfig().start}\n")
         lines.append(f"broken-user\t{item}\tweb\tsoon\n")
-    rng.shuffle(lines)
+    if shuffled:
+        rng.shuffle(lines)
     return "".join(lines)
 
 
@@ -101,15 +108,18 @@ def ingest_digest() -> str:
     with tempfile.TemporaryDirectory() as tmp:
         dump, snapshot = os.path.join(tmp, "dump.tsv"), os.path.join(tmp, "snapshot.tsv")
         for seed in SEEDS:
-            with open(dump, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(hazardous_dump(seed))
-            for fraction in SAMPLE_FRACTIONS:
-                spec = DatasetSpec(path=dump, blacklist=BLACKLIST, sample_fraction=fraction, seed=seed)
-                folksonomy, parsed = run_pipeline(spec)
-                write_snapshot(folksonomy, snapshot)
-                digest.update(f"{seed} {fraction} {parsed.malformed!r}\n".encode("utf-8"))
-                with open(snapshot, "rb") as fh:
-                    digest.update(fh.read())
+            for shuffled in (True, False):
+                with open(dump, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(hazardous_dump(seed, shuffled))
+                for fraction in SAMPLE_FRACTIONS:
+                    spec = DatasetSpec(path=dump, blacklist=BLACKLIST, sample_fraction=fraction, seed=seed)
+                    folksonomy, parsed = run_pipeline(spec)
+                    write_snapshot(folksonomy, snapshot)
+                    digest.update(f"{seed} {shuffled} {fraction} {parsed.malformed!r}\n".encode("utf-8"))
+                    with open(snapshot, "rb") as fh:
+                        digest.update(fh.read())
+                    reloaded = load_snapshot(snapshot)
+                    digest.update(f"{reloaded.fingerprint()} {reloaded.stats().line()}\n".encode("utf-8"))
     return digest.hexdigest()
 
 

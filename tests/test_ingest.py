@@ -74,13 +74,19 @@ def test_malformed_rows_counted_with_line_numbers(tmp_path):
 )
 def test_timestamp_before_epoch_is_a_malformed_row(tmp_path, fmt, valid, before_epoch):
     path = tmp_path / "d.tsv"
+    # a repeated bad timestamp text is reported again; a rejected value is never reused
     write_rows(
         path,
-        [("u1", "i1", "web", valid), ("u2", "i1", "web", before_epoch), ("u3", "i2", "css", valid)],
+        [
+            ("u1", "i1", "web", valid),
+            ("u2", "i1", "web", before_epoch),
+            ("u4", "i2", "web", before_epoch),
+            ("u3", "i2", "css", valid),
+        ],
     )
     result = parse(DatasetSpec(path=str(path), timestamp_format=fmt))
-    assert [line for line, _ in result.malformed] == [2]
-    assert "timestamp before epoch" in result.malformed[0][1]
+    assert [line for line, _ in result.malformed] == [2, 3]
+    assert all("timestamp before epoch" in reason for _, reason in result.malformed)
     assert [(result.vocab.users.label_of(user), ts) for user, _, _, ts in result.assignments] == [
         ("u1", 100),
         ("u3", 100),
@@ -375,6 +381,23 @@ def test_load_snapshot_caches_the_checked_fingerprint(tmp_path, monkeypatch, sma
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 7])
+def test_snapshot_text_streams_across_chunk_boundaries(tmp_path, monkeypatch, n_rows):
+    monkeypatch.setattr(model, "_CHUNK_ROWS", 3)
+    rows = [(f"u{i % 2}", f"r{i}", "web", 100 + i) for i in range(n_rows)]
+    label_rows = model._label_rows(folksonomy_from_rows(rows))
+    assert len(label_rows) == n_rows
+    text = "\n".join(label_rows)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert folksonomy_from_rows(rows).fingerprint() == digest
+    path = tmp_path / "snap.tsv"
+    write_snapshot(folksonomy_from_rows(rows), path)  # no cached fingerprint: digested while writing
+    lines = path.read_text(encoding="utf-8").split("\n", 3)
+    assert lines[1] == f"# fingerprint={digest}"
+    assert lines[3] == text + "\n"  # the body, after three header lines
+    assert load_snapshot(path).fingerprint() == digest
+
+
 def test_missing_file_raises_oserror():
     with pytest.raises(OSError):
         parse(DatasetSpec(path="/nonexistent/nope.tsv"))
@@ -622,15 +645,22 @@ def _dumps(draw):
     width = draw(st.integers(min_value=4, max_value=6))
     columns = tuple(draw(st.permutations(range(width)))[:4])
     lines = []
+    timestamps = []  # the timestamp text drawn for each row so far
     for _ in range(draw(st.integers(min_value=0, max_value=25))):
-        kind = draw(st.sampled_from(["row"] * 6 + ["comment", "blank", "short"]))
+        kind = draw(st.sampled_from(["row"] * 6 + ["repeat"] * 3 + ["comment", "blank", "short"]))
         if kind == "comment":
             lines.append(draw(st.sampled_from(["# export", "  # indented", "#"])))
         elif kind == "blank":
             lines.append(draw(st.sampled_from(["", "  ", "\t"])))
         else:
             fields = [draw(_LABEL) for _ in range(width)]
-            fields[columns[3]] = draw(_TIMESTAMPS[fmt])
+            if kind == "repeat" and timestamps:
+                # the previous row's timestamp text, or the one before it, valid or not
+                raw_ts = draw(st.sampled_from(timestamps[-2:]))
+            else:
+                raw_ts = draw(_TIMESTAMPS[fmt])
+            timestamps.append(raw_ts)
+            fields[columns[3]] = raw_ts
             if kind == "short":
                 fields = fields[: draw(st.integers(min_value=1, max_value=max(columns)))]
             lines.append(delimiter.join(fields))

@@ -4,9 +4,11 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folkrec.errors import EmptyDatasetError
-from folkrec.model import Post, Vocab, build_folksonomy, fingerprint, group_posts
+from folkrec.model import Folksonomy, Post, Vocab, build_folksonomy, fingerprint, group_posts
 
 from conftest import folksonomy_from_rows, random_folksonomy, random_rows
 
@@ -79,6 +81,66 @@ def test_group_posts_merges_rows_and_sorts_by_user_item():
         Post(1, 0, 50, ((3, 100), (7, 50))),
     ]
     assert group_posts([]) == []
+
+
+def _reference_group_posts(assignments):
+    """group_posts as a dict of tag dicts per (user, item): the grouping the one sort replaced."""
+    grouped = {}
+    for user, item, tag, ts in assignments:
+        tag_times = grouped.get((user, item))
+        if tag_times is None:
+            grouped[user, item] = {tag: ts}
+        else:
+            prev = tag_times.get(tag)
+            if prev is None or ts < prev:
+                tag_times[tag] = ts
+    return [
+        Post(user, item, min(tag_times.values()), tuple(sorted(tag_times.items())))
+        for (user, item), tag_times in sorted(grouped.items())
+    ]
+
+
+@st.composite
+def _rows_with_repeats(draw):
+    """Rows whose (user, item, tag) recurs at earlier, equal and later timestamps, in shuffled or reverse-sorted order."""
+    base = draw(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 5), st.integers(1_000, 2_000)),
+            max_size=30,
+        )
+    )
+    rows = list(base)
+    for user, item, tag, ts in base:
+        for shift in draw(st.lists(st.integers(-1_000, 1_000), max_size=3)):
+            rows.append((user, item, tag, ts + shift))
+    if draw(st.booleans()):
+        return draw(st.permutations(rows))
+    return sorted(rows, reverse=True)
+
+
+def _vocab_for(rows):
+    """Labels for every id up to the largest in ``rows``, interned so that id k is label k."""
+    vocab = Vocab()
+    for position, (interner, prefix) in enumerate(((vocab.users, "u"), (vocab.items, "r"), (vocab.tags, "t"))):
+        for ident in range(max(row[position] for row in rows) + 1):
+            interner.intern(f"{prefix}{ident}")
+    return vocab
+
+
+@given(_rows_with_repeats(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_group_posts_equals_the_dict_grouping(rows, rng):
+    reference = _reference_group_posts(rows)
+    assert group_posts(rows) == reference
+    assert group_posts(iter(rows)) == reference  # any iterable, read once
+    if not rows:
+        return
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    vocab = _vocab_for(rows)
+    built = build_folksonomy(shuffled, vocab)
+    assert list(built.posts) == reference
+    assert built.fingerprint() == Folksonomy(reference, vocab).fingerprint()
 
 
 def test_stats_counts(small_folksonomy):
