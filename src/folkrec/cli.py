@@ -21,7 +21,7 @@ import yaml
 
 from . import __version__
 from .bll import BllParams
-from .errors import ConfigError, EmptyDatasetError, FolkrecError, FormatError
+from .errors import ConfigError, EmptyDatasetError, FormatError
 from .evaluation import K_MAX, run_experiment, write_reports
 from .ingest import DatasetSpec, load_snapshot, run_pipeline, write_snapshot
 from .model import Folksonomy
@@ -157,31 +157,18 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = yaml.safe_load(handle)
-    except OSError as exc:
-        raise _IOProblem(f"cannot read config {path}: {exc}") from exc
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     return RunConfig(raw or {}, os.path.dirname(os.path.abspath(path)))
 
 
-class _IOProblem(FolkrecError):
-    """File-system failure distinct from bad config and bad data."""
-
-
-def _load_folksonomy(config: RunConfig, print_stats: bool = False) -> Folksonomy:
+def _load_folksonomy(config: RunConfig) -> Folksonomy:
     """Snapshot if configured, otherwise the full ingest pipeline."""
     if config.snapshot is not None:
-        if not os.path.exists(config.snapshot):
-            raise _IOProblem(f"snapshot not found: {config.snapshot}")
         return load_snapshot(config.snapshot)
-    spec = config.dataset
-    if not os.path.exists(spec.path):
-        raise _IOProblem(f"dataset not found: {spec.path}")
-    folksonomy, parsed = run_pipeline(spec)
+    folksonomy, parsed = run_pipeline(config.dataset)
     for line_number, raw in parsed.malformed:
         print(f"malformed line {line_number}: {raw}", file=sys.stderr)
-    if print_stats:
-        print(folksonomy.stats().line())
     return folksonomy
 
 
@@ -190,7 +177,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if config.dataset is None:
         raise ConfigError("ingest needs a 'dataset' section in the config")
     out_dir = args.out or config.out_dir
-    folksonomy = _load_folksonomy(config, print_stats=True)
+    folksonomy = _load_folksonomy(config)
+    print(folksonomy.stats().line())
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "snapshot.tsv")
     write_snapshot(folksonomy, path)
@@ -233,8 +221,6 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     report_path = args.report
     if os.path.isdir(report_path):
         report_path = os.path.join(report_path, "summary.json")
-    if not os.path.exists(report_path):
-        raise _IOProblem(f"report not found: {report_path}")
     try:
         with open(report_path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -332,9 +318,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (FormatError, EmptyDatasetError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except _IOProblem as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

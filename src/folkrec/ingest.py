@@ -66,20 +66,15 @@ class ParseResult:
     malformed: List[Tuple[int, str]] = field(default_factory=list)
 
 
-def _parse_timestamp(raw: str, fmt: str) -> int:
-    if fmt == "epoch":
-        ts = int(float(raw))  # sub-second precision truncated
-    else:
-        text = raw.strip()
-        if text.endswith(("Z", "z")):
-            text = text[:-1] + "+00:00"
-        dt = datetime.fromisoformat(text)
-        if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=timezone.utc)
-        ts = int(dt.timestamp())
-    if ts < 0:
-        raise ValueError("timestamp before epoch")
-    return ts
+def _parse_iso8601(raw: str) -> int:
+    """Seconds since the epoch of an ISO-8601 time; a trailing Z or no zone means UTC."""
+    text = raw.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    dt = datetime.fromisoformat(text)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return int(dt.timestamp())
 
 
 def _first_non_utf8_line(path: str) -> int:
@@ -114,7 +109,6 @@ def parse(spec: DatasetSpec) -> ParseResult:
     needed = max(spec.columns) + 1
     delimiter = spec.delimiter
     epoch = spec.timestamp_format == "epoch"
-    ts_format = spec.timestamp_format
     user_id, intern_user = vocab.users.lookup(), vocab.users.intern
     item_id, intern_item = vocab.items.lookup(), vocab.items.intern
     tag_id, intern_tag = vocab.tags.lookup(), vocab.tags.intern
@@ -143,8 +137,8 @@ def parse(spec: DatasetSpec) -> ParseResult:
                 # last value parsed without error, so those rows share one int
                 if raw_ts != ts_text:
                     try:
-                        # _parse_timestamp with its epoch branch inlined, the common case
-                        parsed_ts = int(float(raw_ts)) if epoch else _parse_timestamp(raw_ts, ts_format)
+                        # an epoch value's sub-second precision is truncated
+                        parsed_ts = int(float(raw_ts)) if epoch else _parse_iso8601(raw_ts)
                         if parsed_ts < 0:
                             raise ValueError("timestamp before epoch")
                     except (ValueError, OverflowError) as exc:

@@ -115,43 +115,31 @@ class Stats:
 
 
 class Folksonomy:
-    """Immutable, indexed store of posts.
+    """Immutable store of posts, indexed by user and by item.
 
     ``posts`` must hold at most one post per (user, item) and be sorted by
-    (user, item), as :func:`build_folksonomy` leaves them; the per-user
-    accessors rely on that order, and so do the filters that keep a subset
-    of another folksonomy's posts. Safe for concurrent reads; never mutated
-    after construction.
+    (user, item), as :func:`build_folksonomy` leaves them; the per-user and
+    per-item accessors rely on that order, and so do the filters that keep a
+    subset of another folksonomy's posts. Tag statistics (counts, use times,
+    the tag set) are not stored: each accessor derives them from the posts
+    when called. Safe for concurrent reads; never mutated after construction.
     """
 
     def __init__(self, posts: Sequence[Post], vocab: Vocab) -> None:
         self.posts: Tuple[Post, ...] = tuple(posts)
         self.vocab = vocab
-        self._user_posts: Dict[int, Tuple[Post, ...]] = {}
-        self._user_items: Dict[int, Tuple[int, ...]] = {}
-        self._item_posts: Dict[int, Tuple[Post, ...]] = {}
-        self._user_tag_counts: Dict[int, Dict[int, int]] = {}
-        self._item_tag_counts: Dict[int, Dict[int, int]] = {}
         self._build_indexes()
         self._fingerprint: str | None = None
 
     def _build_indexes(self) -> None:
         user_posts: Dict[int, List[Post]] = {}
         item_posts: Dict[int, List[Post]] = {}
-        user_tag_counts = self._user_tag_counts
-        item_tag_counts = self._item_tag_counts
         for post in self.posts:
-            user, item, _, tag_times = post
-            user_posts.setdefault(user, []).append(post)
-            item_posts.setdefault(item, []).append(post)
-            utc = user_tag_counts.setdefault(user, {})
-            itc = item_tag_counts.setdefault(item, {})
-            for tag, _ in tag_times:
-                utc[tag] = utc.get(tag, 0) + 1
-                itc[tag] = itc.get(tag, 0) + 1
-        self._user_posts = {u: tuple(ps) for u, ps in user_posts.items()}
-        self._user_items = {u: tuple([p.item for p in ps]) for u, ps in user_posts.items()}
-        self._item_posts = {i: tuple(ps) for i, ps in item_posts.items()}
+            user_posts.setdefault(post.user, []).append(post)
+            item_posts.setdefault(post.item, []).append(post)
+        self._user_posts: Dict[int, Tuple[Post, ...]] = {u: tuple(ps) for u, ps in user_posts.items()}
+        self._user_items: Dict[int, Tuple[int, ...]] = {u: tuple([p.item for p in ps]) for u, ps in user_posts.items()}
+        self._item_posts: Dict[int, Tuple[Post, ...]] = {i: tuple(ps) for i, ps in item_posts.items()}
 
     # -- accessors ---------------------------------------------------------
 
@@ -163,10 +151,7 @@ class Folksonomy:
         return sorted(self._item_posts)
 
     def tags(self) -> List[int]:
-        seen = set()
-        for counts in self._user_tag_counts.values():
-            seen.update(counts)
-        return sorted(seen)
+        return sorted(_tag_counts(self.posts))
 
     def posts_of_user(self, user: int) -> Tuple[Post, ...]:
         return self._user_posts.get(user, ())
@@ -179,20 +164,20 @@ class Folksonomy:
         return self._user_items.get(user, ())
 
     def taggers_of_item(self, item: int) -> Tuple[int, ...]:
-        """Users who bookmarked the item, ascending."""
-        return tuple(sorted(p.user for p in self._item_posts.get(item, ())))
+        """Users who bookmarked the item, ascending (posts are user-sorted)."""
+        return tuple([p.user for p in self._item_posts.get(item, ())])
 
     def user_tag_counts(self, user: int) -> Mapping[int, int]:
         """tag -> number of the user's posts carrying that tag."""
-        return self._user_tag_counts.get(user, {})
+        return _tag_counts(self._user_posts.get(user, ()))
 
     def item_tag_counts(self, item: int) -> Mapping[int, int]:
         """tag -> number of posts on this item carrying that tag."""
-        return self._item_tag_counts.get(item, {})
+        return _tag_counts(self._item_posts.get(item, ()))
 
     def item_tags(self, item: int) -> frozenset:
         """All tags any user assigned to the item."""
-        return frozenset(self._item_tag_counts.get(item, {}))
+        return frozenset(self.item_tag_counts(item))
 
     def tag_use_times(self, user: int) -> Dict[int, List[int]]:
         """tag -> ascending timestamps of the user's uses of that tag."""
@@ -222,6 +207,15 @@ class Folksonomy:
         if self._fingerprint is None:
             self._fingerprint = _label_digest(_label_rows(self))
         return self._fingerprint
+
+
+def _tag_counts(posts: Iterable[Post]) -> Dict[int, int]:
+    """tag -> number of the posts carrying that tag."""
+    counts: Dict[int, int] = {}
+    for post in posts:
+        for tag, _ in post.tag_times:
+            counts[tag] = counts.get(tag, 0) + 1
+    return counts
 
 
 def _label_rows(folksonomy: Folksonomy) -> List[str]:

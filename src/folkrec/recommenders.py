@@ -198,6 +198,7 @@ class Cirtt(_NeighborhoodRecommender):
     def __init__(self, train: Folksonomy, t_ref: Mapping[int, int], config: RecommenderConfig) -> None:
         super().__init__(train, t_ref, config, build_user_vectors(train, BINARY_ITEM))
         self.item_vectors = item_tagger_vectors(train)
+        self.tag_vectors = item_tag_vectors(train)  # a candidate's tags are its vector's ids
 
     def item_similarity(self, user: int, item: int) -> float:
         """Summed cosine between the candidate's and the user's item columns."""
@@ -214,9 +215,8 @@ class Cirtt(_NeighborhoodRecommender):
         except (NoProfileError, KeyError):
             return ()
         sims = summed_item_cosines(self.item_vectors, self.train.items_of_user(user), contrib)
-        scored = sorted(
-            [(-(sim * bll_item(profile, self.train.item_tag_counts(item))), -sim, item) for item, sim in sims.items()]
-        )
+        tags = self.tag_vectors
+        scored = sorted([(-(sim * bll_item(profile, tags[item].ids)), -sim, item) for item, sim in sims.items()])
         return ((item, -neg_pred) for neg_pred, _, item in scored)
 
 

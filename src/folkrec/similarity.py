@@ -137,7 +137,7 @@ def _item_vectors(
 
 
 def item_tag_vectors(train: Folksonomy) -> Mapping[int, SparseVector]:
-    """Tag-count vector per item, built once per folksonomy: what H ranks by and diversity compares."""
+    """Tag-count vector per item, built once per folksonomy: H ranks by it, diversity and CIRTT read it."""
     return _item_vectors(train, "tags", lambda item: {t: float(c) for t, c in train.item_tag_counts(item).items()})
 
 

@@ -29,18 +29,7 @@ from folkrec.model import fingerprint
 from folkrec.recommenders import RecommenderConfig
 from folkrec.split import chronological_split
 
-from oracles import (
-    o_ap,
-    o_cf,
-    o_cirtt,
-    o_diversity,
-    o_huang,
-    o_item_tag_counts,
-    o_mp,
-    o_ndcg,
-    o_recall,
-    o_zheng,
-)
+from oracles import o_ap, o_diversity, o_item_tag_counts, o_ndcg, o_ranking, o_recall
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -54,22 +43,6 @@ CONFIGS = [
 ]
 
 
-def oracle_ranking(tag, train, t_ref, user, config):
-    if tag == "MP":
-        return o_mp(train, user, K_MAX)
-    if tag == "CF_B":
-        return o_cf(train, user, config.k, K_MAX, binary=True)
-    if tag == "CF_T":
-        return o_cf(train, user, config.k, K_MAX, binary=False)
-    if tag == "Z":
-        return o_zheng(train, t_ref, user, config.k, K_MAX, config.t0_seconds)
-    if tag == "H":
-        return o_huang(train, t_ref, user, config.k, K_MAX, config.floor)
-    if tag == "CIRTT":
-        return o_cirtt(train, t_ref, user, config.k, K_MAX, config.bll.d)
-    raise ValueError(tag)
-
-
 def oracle_algorithm_report(split, config):
     train = split.train
     tag_vecs = {item: o_item_tag_counts(train, item) for item in train.items()}
@@ -78,7 +51,7 @@ def oracle_algorithm_report(split, config):
     diversities = []
     served = 0
     for user in users:
-        ranked = [i for i, _ in oracle_ranking(config.algorithm, train, split.t_ref, user, config)]
+        ranked = [i for i, _ in o_ranking(train, split.t_ref, user, config, K_MAX)]
         relevant = split.test[user]
         if ranked:
             served += 1

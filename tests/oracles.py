@@ -172,6 +172,22 @@ def o_huang(train: Folksonomy, t_ref: Dict[int, int], user: int, k: int, n: int,
     return _top_n(scored, n)
 
 
+def o_ranking(train: Folksonomy, t_ref: Dict[int, int], user: int, config, n: int) -> List[Tuple[int, float]]:
+    """The oracle for ``config.algorithm``, with that config's parameters."""
+    tag, k = config.algorithm, config.k
+    if tag == "MP":
+        return o_mp(train, user, n)
+    if tag in ("CF_B", "CF_T"):
+        return o_cf(train, user, k, n, binary=tag == "CF_B")
+    if tag == "Z":
+        return o_zheng(train, t_ref, user, k, n, config.t0_seconds)
+    if tag == "H":
+        return o_huang(train, t_ref, user, k, n, config.floor)
+    if tag == "CIRTT":
+        return o_cirtt(train, t_ref, user, k, n, config.bll.d)
+    raise ValueError(f"no oracle for {tag!r}")
+
+
 # Metric oracles: direct transcriptions of the definitions.
 
 def o_dcg(gains: Sequence[int]) -> float:

@@ -31,7 +31,7 @@ from folkrec.split import chronological_split, reference_times
 from folkrec.synth import SynthConfig, generate
 
 from conftest import random_folksonomy
-from oracles import o_cf, o_cirtt, o_huang, o_mp, o_zheng
+from oracles import o_ranking
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -53,20 +53,12 @@ def test_criterion_1_all_algorithms_match_brute_force_oracles():
         )
         t_ref = reference_times(f)
         k, n = rng.choice([(5, 10), (20, 20), (3, 20)])
-        oracle_by_tag = {
-            "MP": lambda u, c: o_mp(f, u, n),
-            "CF_B": lambda u, c: o_cf(f, u, c.k, n, binary=True),
-            "CF_T": lambda u, c: o_cf(f, u, c.k, n, binary=False),
-            "Z": lambda u, c: o_zheng(f, t_ref, u, c.k, n, c.t0_seconds),
-            "H": lambda u, c: o_huang(f, t_ref, u, c.k, n, c.floor),
-            "CIRTT": lambda u, c: o_cirtt(f, t_ref, u, c.k, n, c.bll.d),
-        }
         for tag in ALGORITHMS:
             config = RecommenderConfig(tag, k=k)
             recommender = build_recommender(f, t_ref, config)
             for u in f.users():
                 got = recommender.recommend(u, n).entries
-                expected = oracle_by_tag[tag](u, config)
+                expected = o_ranking(f, t_ref, u, config, n)
                 assert [i for i, _ in got] == [i for i, _ in expected], (tag, u)
                 for (_, gs), (_, es) in zip(got, expected):
                     assert abs(gs - es) <= 1e-9, (tag, u, gs, es)

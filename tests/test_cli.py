@@ -87,10 +87,41 @@ def test_non_utf8_input_is_data_error(workdir, capsys, source):
     assert not (workdir / "r").exists()
 
 
-def test_missing_dataset_is_io_error(workdir, capsys):
+# Each sets up one unreadable path and returns the command line and that path.
+def missing_config(workdir):
+    return ("run", "--config", workdir / "absent.yaml"), workdir / "absent.yaml"
+
+
+def missing_snapshot(workdir):
+    (workdir / "snap.yaml").write_text("snapshot: absent.tsv\nalgorithms: [MP]\n")
+    return ("run", "--config", workdir / "snap.yaml"), workdir / "absent.tsv"
+
+
+def missing_dataset(workdir):
     os.remove(workdir / "mini.tsv")
-    code = run_cli("ingest", "--config", workdir / "mini_config.yaml")
-    assert code == EXIT_IO
+    return ("ingest", "--config", workdir / "mini_config.yaml"), workdir / "mini.tsv"
+
+
+def dataset_is_a_directory(workdir):
+    os.remove(workdir / "mini.tsv")
+    os.mkdir(workdir / "mini.tsv")
+    return ("split", "--config", workdir / "mini_config.yaml"), workdir / "mini.tsv"
+
+
+def missing_report(workdir):
+    return ("plotdata", workdir / "absent.json"), workdir / "absent.json"
+
+
+@pytest.mark.parametrize(
+    "failure", [missing_config, missing_snapshot, missing_dataset, dataset_is_a_directory, missing_report]
+)
+def test_unreadable_path_is_io_error_naming_it(workdir, capsys, failure):
+    argv, path = failure(workdir)
+    assert run_cli(*argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:")
+    assert str(path) in err
+    assert "Traceback" not in err
 
 
 def test_unknown_algorithm_is_config_error_before_compute(workdir, capsys):
@@ -287,10 +318,6 @@ def test_plotdata_series_round_trip(workdir, capsys):
         for row in body:
             k, value = row.split(",")
             assert value == csv_rows[(algo, int(k))][metric]
-
-
-def test_plotdata_missing_report_is_io_error(workdir, capsys):
-    assert run_cli("plotdata", workdir / "nowhere") == EXIT_IO
 
 
 @pytest.mark.parametrize(

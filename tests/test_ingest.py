@@ -5,7 +5,7 @@ import math
 import os
 import random
 import tempfile
-from datetime import datetime
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -588,8 +588,25 @@ def test_the_draw_runs_over_users_with_a_kept_row(tmp_path, seed):
     assert _outcome(run_pipeline, spec) == _outcome(_stepwise, spec)
 
 
+def _reference_timestamp(raw, fmt):
+    """Seconds since the epoch: a number (truncated) or an ISO-8601 time (UTC unless zoned)."""
+    if fmt == "epoch":
+        ts = int(float(raw))
+    else:
+        text = raw.strip()
+        if text.endswith(("Z", "z")):
+            text = text[:-1] + "+00:00"
+        dt = datetime.fromisoformat(text)
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        ts = int(dt.timestamp())
+    if ts < 0:
+        raise ValueError("timestamp before epoch")
+    return ts
+
+
 def _reference_parse(path, spec):
-    """parse spelled out plainly: one intern call and one _parse_timestamp call per valid row."""
+    """parse spelled out plainly: one intern call and one timestamp parse per valid row."""
     vocab = Vocab()
     rows, malformed, data_rows = [], [], 0
     needed = max(spec.columns) + 1
@@ -608,7 +625,7 @@ def _reference_parse(path, spec):
                 malformed.append((lineno, "empty user, item or tag field"))
                 continue
             try:
-                ts = ingest._parse_timestamp(raw_ts, spec.timestamp_format)
+                ts = _reference_timestamp(raw_ts, spec.timestamp_format)
             except (ValueError, OverflowError) as exc:
                 malformed.append((lineno, f"bad timestamp {raw_ts!r}: {exc}"))
                 continue
@@ -616,25 +633,35 @@ def _reference_parse(path, spec):
     return rows, vocab, data_rows, malformed
 
 
-# mixed case and space padding; one label in about twenty is blank
+# mixed case and space padding; one label in forty is blank
 _PAD = st.sampled_from(["", "", " "])
-_LABEL = st.tuples(st.sampled_from(range(20)), _PAD, st.text(alphabet="aAbZ0_É", min_size=1, max_size=3), _PAD).map(
+_LABEL = st.tuples(st.sampled_from(range(40)), _PAD, st.text(alphabet="aAbZ0_É", min_size=1, max_size=3), _PAD).map(
     lambda t: " " if t[0] == 0 else "".join(t[1:])
 )
 
+# Per format, the strategies a row's timestamp text is drawn from, each
+# equally likely: valid text six times in nine, so that most dumps stay under
+# the half-malformed limit and are compared row by row; then text before the
+# epoch, values on either side of it, and odd or invalid text.
+_ISO_VALID = [
+    st.datetimes(min_value=datetime(1970, 1, 2)).map(lambda d: d.isoformat()),
+    st.datetimes(min_value=datetime(1970, 1, 2)).map(lambda d: d.isoformat(sep=" ") + "Z"),
+]
 _TIMESTAMPS = {
-    "epoch": st.one_of(
-        st.integers(min_value=0, max_value=2 * 10**9).map(str),
+    "epoch": [st.integers(min_value=0, max_value=2 * 10**9).map(str)] * 6
+    + [
+        st.integers(max_value=-1).map(str),
         st.integers(min_value=-(10**12), max_value=10**12).map(str),
         st.sampled_from(["12.7", "-0.5", "1e400", "-1e400", "nan", "1e3", " 42 ", "", "soon", "0x10", "1_000"]),
-    ),
-    "iso8601": st.one_of(
-        st.datetimes(min_value=datetime(1960, 1, 1)).map(lambda d: d.isoformat()),
+    ],
+    "iso8601": _ISO_VALID * 3
+    + [
+        st.datetimes(min_value=datetime(1900, 1, 1), max_value=datetime(1969, 12, 31)).map(lambda d: d.isoformat()),
         st.datetimes(min_value=datetime(1960, 1, 1)).map(lambda d: d.isoformat(sep=" ") + "Z"),
         st.sampled_from(
             ["2010-03-14T02:40:00Z", "2010-03-14 02:40:00+02:00", "1969-12-31T23:59:59Z", "2010-13-01", "", "100"]
         ),
-    ),
+    ],
 }
 
 
@@ -647,7 +674,7 @@ def _dumps(draw):
     lines = []
     timestamps = []  # the timestamp text drawn for each row so far
     for _ in range(draw(st.integers(min_value=0, max_value=25))):
-        kind = draw(st.sampled_from(["row"] * 6 + ["repeat"] * 3 + ["comment", "blank", "short"]))
+        kind = draw(st.sampled_from(["row"] * 10 + ["repeat"] * 5 + ["comment", "blank", "short"]))
         if kind == "comment":
             lines.append(draw(st.sampled_from(["# export", "  # indented", "#"])))
         elif kind == "blank":
@@ -658,7 +685,7 @@ def _dumps(draw):
                 # the previous row's timestamp text, or the one before it, valid or not
                 raw_ts = draw(st.sampled_from(timestamps[-2:]))
             else:
-                raw_ts = draw(_TIMESTAMPS[fmt])
+                raw_ts = draw(draw(st.sampled_from(_TIMESTAMPS[fmt])))
             timestamps.append(raw_ts)
             fields[columns[3]] = raw_ts
             if kind == "short":

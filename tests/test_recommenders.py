@@ -23,7 +23,7 @@ from folkrec.recommenders import (
 from folkrec.split import chronological_split, reference_times
 
 from conftest import folksonomy_from_rows, random_folksonomy
-from oracles import o_cf, o_cirtt, o_cosine, o_huang, o_item_taggers, o_mp, o_zheng
+from oracles import o_cosine, o_item_taggers, o_ranking, o_zheng
 
 MINI = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "mini.tsv")
 
@@ -282,16 +282,6 @@ def test_huang_floor_lifts_early_uses():
     assert by_label["first"] == pytest.approx(0.2)
 
 
-ORACLES = {
-    "MP": lambda f, t_ref, u, cfg, n: o_mp(f, u, n),
-    "CF_B": lambda f, t_ref, u, cfg, n: o_cf(f, u, cfg.k, n, binary=True),
-    "CF_T": lambda f, t_ref, u, cfg, n: o_cf(f, u, cfg.k, n, binary=False),
-    "Z": lambda f, t_ref, u, cfg, n: o_zheng(f, t_ref, u, cfg.k, n, cfg.t0_seconds),
-    "H": lambda f, t_ref, u, cfg, n: o_huang(f, t_ref, u, cfg.k, n, cfg.floor),
-    "CIRTT": lambda f, t_ref, u, cfg, n: o_cirtt(f, t_ref, u, cfg.k, n, cfg.bll.d),
-}
-
-
 @pytest.mark.parametrize("tag", ALGORITHMS)
 def test_algorithms_match_brute_force_oracle(tag):
     for seed in (0, 1, 2):
@@ -301,7 +291,7 @@ def test_algorithms_match_brute_force_oracle(tag):
         recommender = build_recommender(f, t_ref, config)
         for u in f.users():
             got = recommender.recommend(u, 10).entries
-            expected = ORACLES[tag](f, t_ref, u, config, 10)
+            expected = o_ranking(f, t_ref, u, config, 10)
             assert [i for i, _ in got] == [i for i, _ in expected], (tag, seed, u)
             for (_, gs), (_, es) in zip(got, expected):
                 assert gs == pytest.approx(es, abs=1e-9)
