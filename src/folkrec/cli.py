@@ -131,6 +131,9 @@ class RunConfig:
             if "floor" in entry:
                 kwargs["floor"] = _number(entry, "floor", 0.0)
             configs.append(RecommenderConfig(**kwargs))
+        tags = [c.algorithm for c in configs]
+        if len(set(tags)) != len(tags):
+            raise ConfigError(f"duplicate algorithm tags: {tags}")
         return configs
 
 
@@ -202,6 +205,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError("run needs a non-empty 'algorithms' list in the config")
     seed = args.seed if args.seed is not None else config.seed
     workers = args.workers if args.workers is not None else config.workers
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     out_dir = args.out or config.out_dir
     folksonomy = _load_folksonomy(config)
     report = run_experiment(
@@ -257,6 +262,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     algo_config = next((c for c in config.algorithms if c.algorithm == tag), None)
     if algo_config is None:
         algo_config = RecommenderConfig(tag)
+    if args.n < 1:
+        raise ConfigError(f"n must be >= 1, got {args.n}")
     folksonomy = _load_folksonomy(config)
     vocab = folksonomy.vocab
     if args.user not in vocab.users:

@@ -141,16 +141,13 @@ class EvalReport:
         raise KeyError(tag)
 
 
-def _evaluate_user(
-    recommender,
-    train: Folksonomy,
-    user: int,
-    relevant: Set[int],
-    item_vectors: Mapping[int, SparseVector],
-) -> UserResult:
-    ranked = recommender.recommend(user, K_MAX)
-    recommended = ranked.items()
-    owned = set(train.items_of_user(user))
+def _evaluate_user(recommender, user: int, relevant: Set[int]) -> UserResult:
+    """Score one test user's list: the one per-user path of serial and pooled evaluation.
+
+    An unserved user's empty list scores 0.0 at every k and diversity 0.0.
+    """
+    recommended = recommender.recommend(user, K_MAX).items()
+    owned = set(recommender.train.items_of_user(user))
     for item in recommended:
         # a recommendation of an already-bookmarked item means test data
         # leaked into training or filtering broke; fail loudly, not quietly
@@ -158,37 +155,28 @@ def _evaluate_user(
             raise AssertionError(f"item {item} recommended to user {user} who already has it in training data")
     if len(set(recommended)) != len(recommended):
         raise AssertionError(f"duplicate items in recommendations for user {user}")
-    served = bool(recommended)
-    if not served:
-        zeros = tuple(0.0 for _ in range(K_MAX))
-        return UserResult(user, False, (), zeros, zeros, zeros, 0.0)
     ndcg, ap, recall = zip(*metric_curves(recommended, relevant))
     return UserResult(
         user=user,
-        served=True,
+        served=bool(recommended),
         recommended=recommended,
         ndcg=ndcg,
         ap=ap,
         recall=recall,
-        diversity_at_max=diversity(recommended, item_vectors),
+        diversity_at_max=diversity(recommended, item_tag_vectors(recommender.train)),
     )
 
 
 _WORKER_STATE: Dict[str, object] = {}
-_BATCHES_PER_WORKER = 16
+_CHUNKS_PER_WORKER = 16
 
 
 def _worker_init(train: Folksonomy, t_ref: Dict[int, int], config: RecommenderConfig) -> None:
     _WORKER_STATE["recommender"] = build_recommender(train, t_ref, config)
-    _WORKER_STATE["train"] = train
-    _WORKER_STATE["vectors"] = item_tag_vectors(train)
 
 
-def _worker_eval(batch: List[Tuple[int, Set[int]]]) -> List[UserResult]:
-    recommender = _WORKER_STATE["recommender"]
-    train = _WORKER_STATE["train"]
-    vectors = _WORKER_STATE["vectors"]
-    return [_evaluate_user(recommender, train, user, relevant, vectors) for user, relevant in batch]
+def _worker_eval(task: Tuple[int, Set[int]]) -> UserResult:
+    return _evaluate_user(_WORKER_STATE["recommender"], *task)
 
 
 def evaluate_algorithm(
@@ -200,42 +188,35 @@ def evaluate_algorithm(
     """Run one algorithm over every test user and average the metric curves."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    test_users = sorted(split.test)
-    if not test_users:
+    tasks = [(user, split.test[user]) for user in sorted(split.test)]
+    if not tasks:
         raise EmptyDatasetError("split has no users with held-out items to evaluate")
-    # built before the pool forks, so forked workers inherit the train set's memo
-    vectors = item_tag_vectors(split.train)
-    if workers == 1 or len(test_users) < 4:
+    if workers == 1:
         recommender = build_recommender(split.train, split.t_ref, config)
-        results = [
-            _evaluate_user(recommender, split.train, user, split.test[user], vectors)
-            for user in test_users
-        ]
+        results = [_evaluate_user(recommender, user, relevant) for user, relevant in tasks]
     else:
-        # many small batches, handed to whichever worker is free: a worker
+        # built before the pool forks, so forked workers inherit the train set's memo
+        item_tag_vectors(split.train)
+        # many small chunks, handed to whichever worker is free: a worker
         # that runs slower (costlier users, a busier CPU) takes fewer of them
         # instead of holding up the others at the end
-        size = -(-len(test_users) // (workers * _BATCHES_PER_WORKER))
-        batches = [
-            [(user, split.test[user]) for user in test_users[start:start + size]]
-            for start in range(0, len(test_users), size)
-        ]
+        chunk = -(-len(tasks) // (workers * _CHUNKS_PER_WORKER))
         # the pool forks all max_workers processes at its first submit, so
-        # never ask for more than there are batches or CPUs to run them
+        # never ask for more than there are chunks or CPUs to run them
         with ProcessPoolExecutor(
-            max_workers=min(workers, len(batches), os.cpu_count() or 1),
+            max_workers=min(workers, -(-len(tasks) // chunk), os.cpu_count() or 1),
             initializer=_worker_init,
             initargs=(split.train, split.t_ref, config),
         ) as pool:
-            # map yields in batch order, and the batches slice test_users in order
-            results = [result for chunk in pool.map(_worker_eval, batches) for result in chunk]
+            # map yields in task order, and the tasks are in user order
+            results = list(pool.map(_worker_eval, tasks, chunksize=chunk))
     return _aggregate(config.algorithm, results, count_unserved)
 
 
 def _aggregate(tag: str, results: List[UserResult], count_unserved: bool) -> AlgorithmReport:
-    pool = results if count_unserved else [r for r in results if r.served]
-    denominator = len(pool)
     served = [r for r in results if r.served]
+    pool = results if count_unserved else served
+    denominator = len(pool)
     # diversity needs at least one pair, so its mean runs over the users
     # with >= 2 recommendations regardless of the accuracy denominator
     div_pool = [r for r in results if len(r.recommended) >= 2]

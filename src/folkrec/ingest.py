@@ -109,6 +109,11 @@ def parse(spec: DatasetSpec) -> ParseResult:
     needed = max(spec.columns) + 1
     delimiter = spec.delimiter
     epoch = spec.timestamp_format == "epoch"
+    # a snapshot is TAB-delimited and starts each row with the user label, so
+    # a label holding a TAB, or a user label starting with '#', could not be
+    # reloaded; neither can occur in the default layout, which skips the checks
+    check_tabs = delimiter != "\t"
+    check_user_hash = cu != 0
     user_id, intern_user = vocab.users.lookup(), vocab.users.intern
     item_id, intern_item = vocab.items.lookup(), vocab.items.intern
     tag_id, intern_tag = vocab.tags.lookup(), vocab.tags.intern
@@ -131,6 +136,12 @@ def parse(spec: DatasetSpec) -> ParseResult:
                 tag = fields[ct].strip().lower()  # tags are case-folded before interning
                 if not user or not item or not tag:
                     malformed.append((lineno, "empty user, item or tag field"))
+                    continue
+                if check_tabs and ("\t" in user or "\t" in item or "\t" in tag):
+                    malformed.append((lineno, "TAB inside a user, item or tag label"))
+                    continue
+                if check_user_hash and user.startswith("#"):
+                    malformed.append((lineno, "user label starts with '#'"))
                     continue
                 raw_ts = fields[cts]
                 # the rows of one post mostly repeat their timestamp text: reuse the

@@ -175,10 +175,6 @@ class Folksonomy:
         """tag -> number of posts on this item carrying that tag."""
         return _tag_counts(self._item_posts.get(item, ()))
 
-    def item_tags(self, item: int) -> frozenset:
-        """All tags any user assigned to the item."""
-        return frozenset(self.item_tag_counts(item))
-
     def tag_use_times(self, user: int) -> Dict[int, List[int]]:
         """tag -> ascending timestamps of the user's uses of that tag."""
         uses: Dict[int, List[int]] = {}

@@ -3,7 +3,9 @@
 The golden report files pin the end-to-end numbers for the bundled mini
 fixture. They are produced by the oracle implementations (rankings and
 metrics), not by the code under test; only parsing, the data model, the
-split, and the report formatting are shared. Run from the repository root:
+split, and the report formatting are shared. It imports the ``folkrec``
+package next to it, so it regenerates from the checkout it sits in. Run
+from anywhere:
 
     python3 tests/make_golden.py
 """
@@ -14,7 +16,9 @@ import math
 import os
 import sys
 
-sys.path.insert(0, os.path.dirname(__file__))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, HERE)
+sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
 
 from folkrec.evaluation import (
     K_MAX,
@@ -30,8 +34,6 @@ from folkrec.recommenders import RecommenderConfig
 from folkrec.split import chronological_split
 
 from oracles import o_ap, o_diversity, o_item_tag_counts, o_ndcg, o_ranking, o_recall
-
-HERE = os.path.dirname(os.path.abspath(__file__))
 
 CONFIGS = [
     RecommenderConfig("MP"),
@@ -74,7 +76,7 @@ def oracle_algorithm_report(split, config):
     )
 
 
-def main():
+def main(out: str = os.path.join(HERE, "data", "golden")) -> None:
     folksonomy, _ = run_pipeline(DatasetSpec(path=os.path.join(HERE, "data", "mini.tsv")))
     split = chronological_split(folksonomy, 0.2)
     echo = _config_echo(CONFIGS, 0.2, 0, True)
@@ -84,7 +86,6 @@ def main():
         config_echo=echo,
         algorithms=tuple(oracle_algorithm_report(split, c) for c in CONFIGS),
     )
-    out = os.path.join(HERE, "data", "golden")
     write_reports(report, out)
     print(f"golden files regenerated in {out}")
 

@@ -123,7 +123,7 @@ def o_cirtt(train: Folksonomy, t_ref: Dict[int, int], user: int, k: int, n: int,
     scored = []
     for item in candidates:
         sim = math.fsum(o_cosine(columns[item], columns[j]) for j in train.items_of_user(user))
-        activation = math.fsum(profile.get(t, 0.0) for t in sorted(train.item_tags(item)))
+        activation = math.fsum(profile.get(t, 0.0) for t in sorted(o_item_tag_counts(train, item)))
         scored.append((item, sim * activation, sim))
     scored.sort(key=lambda e: (-e[1], -e[2], e[0]))
     return [(item, pred) for item, pred, _ in scored[:n]]

@@ -124,6 +124,26 @@ def test_unreadable_path_is_io_error_naming_it(workdir, capsys, failure):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, line, mistake",
+    [
+        (("run", "--workers", 0), None, None),
+        (("recommend", "--user", "u01", "--n", 0), None, None),
+        (("run",), "  - algorithm: MP\n", "  - algorithm: MP\n  - mp\n"),
+    ],
+    ids=["workers", "n", "duplicate-tags"],
+)
+def test_bad_setting_is_config_error_before_data_is_read(workdir, capsys, argv, line, mistake):
+    # with the dataset gone, a check made after ingest would end in exit 4
+    os.remove(workdir / "mini.tsv")
+    config = workdir / "mini_config.yaml"
+    if line is not None:
+        assert line in config.read_text()
+        config.write_text(config.read_text().replace(line, mistake))
+    assert run_cli(argv[0], "--config", config, *argv[1:]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_unknown_algorithm_is_config_error_before_compute(workdir, capsys):
     config = (workdir / "mini_config.yaml").read_text().replace("- algorithm: MP", "- algorithm: MAGIC")
     (workdir / "mini_config.yaml").write_text(config)

@@ -23,9 +23,10 @@ from folkrec.evaluation import (
     write_reports,
 )
 from folkrec.ingest import DatasetSpec, run_pipeline
-from folkrec.recommenders import RecommenderConfig, build_recommender
+from folkrec.recommenders import ALGORITHMS, RankedList, RecommenderConfig, build_recommender
 from folkrec.similarity import SparseVector, item_tagger_vectors
-from folkrec.split import chronological_split
+from folkrec.split import SplitResult, chronological_split
+from folkrec.synth import SynthConfig, generate
 
 from conftest import random_folksonomy
 from oracles import o_cosine
@@ -227,41 +228,46 @@ def test_unserved_users_score_zero_but_count(monkeypatch):
         assert report_served.coverage == report_all.coverage  # UC is unaffected
 
 
+class _Stub:
+    """A recommender that returns fixed entries, over a real train set."""
+
+    def __init__(self, train, entries):
+        self.train = train
+        self.entries = entries
+
+    def recommend(self, user, n=None):
+        return RankedList(user=user, entries=self.entries(user))
+
+
 def test_leakage_guard_fires_on_corrupt_recommender():
-    from folkrec import evaluation
-
     folksonomy, split = _mini_split()
-
-    class Leaky:
-        def recommend(self, user, n=None):
-            from folkrec.recommenders import RankedList
-            owned = sorted(split.train.items_of_user(user))
-            return RankedList(user=user, entries=((owned[0], 1.0),))
-
+    leaky = _Stub(split.train, lambda user: ((sorted(split.train.items_of_user(user))[0], 1.0),))
     user = sorted(split.test)[0]
     with pytest.raises(AssertionError):
-        evaluation._evaluate_user(Leaky(), split.train, user, split.test[user], {})
+        evaluation._evaluate_user(leaky, user, split.test[user])
 
 
 def test_duplicate_guard_fires():
-    from folkrec import evaluation
-    from folkrec.recommenders import RankedList
-
     folksonomy, split = _mini_split()
-
-    class Doubler:
-        def recommend(self, user, n=None):
-            return RankedList(user=user, entries=((9999, 1.0), (9999, 0.5)))
-
+    doubler = _Stub(split.train, lambda user: ((9999, 1.0), (9999, 0.5)))
     user = sorted(split.test)[0]
     with pytest.raises(AssertionError):
-        evaluation._evaluate_user(Doubler(), split.train, user, split.test[user], {})
+        evaluation._evaluate_user(doubler, user, split.test[user])
+
+
+def test_unserved_user_result_is_all_zeros():
+    _, split = _mini_split()
+    user = sorted(split.test)[0]
+    result = evaluation._evaluate_user(_Stub(split.train, lambda user: ()), user, split.test[user])
+    zeros = tuple(0.0 for _ in range(K_MAX))
+    assert result == evaluation.UserResult(user, False, (), zeros, zeros, zeros, 0.0)
+    # equal is not enough: -0.0 == 0.0, so compare the bits of every value
+    values = result.ndcg + result.ap + result.recall + (result.diversity_at_max,)
+    assert [v.hex() for v in values] == [(0.0).hex()] * len(values)
 
 
 def test_no_evaluable_users_raises():
     f = random_folksonomy(0, n_users=3, n_items=4, n_posts=3)  # likely all single-post
-    from folkrec.split import SplitResult
-
     split = SplitResult(train=f, test={}, t_ref={u: 10**9 for u in f.users()})
     with pytest.raises(EmptyDatasetError):
         evaluate_algorithm(split, RecommenderConfig("MP"))
@@ -283,18 +289,29 @@ def test_evaluation_is_deterministic():
 
 
 def test_workers_do_not_change_results():
-    _, split = _mini_split()
-    for tag in ("MP", "CIRTT", "Z"):
-        one = evaluate_algorithm(split, RecommenderConfig(tag), workers=1)
-        two = evaluate_algorithm(split, RecommenderConfig(tag), workers=3)
-        assert one == two
+    _, mini = _mini_split()
+    synth = chronological_split(generate(SynthConfig(), 1), 0.2)
+    assert len(synth.test) == 200
+    cases = [
+        (mini, 3),
+        # 200 users on 6 workers: chunks of 3 and a last chunk of 2
+        (synth, 6),
+        # fewer test users than workers: the pool still runs
+        (SplitResult(mini.train, {u: mini.test[u] for u in sorted(mini.test)[:1]}, mini.t_ref), 2),
+        (SplitResult(mini.train, {u: mini.test[u] for u in sorted(mini.test)[:3]}, mini.t_ref), 2),
+    ]
+    for split, workers in cases:
+        for tag in ALGORITHMS:
+            one = evaluate_algorithm(split, RecommenderConfig(tag), workers=1)
+            pooled = evaluate_algorithm(split, RecommenderConfig(tag), workers=workers)
+            assert one == pooled, (tag, len(split.test), workers)
 
 
 def test_pool_size_is_capped_by_batches_and_cpus(monkeypatch):
     seen = {}
 
     class InProcessPool:
-        """Stand-in for ProcessPoolExecutor: records its size, runs everything here."""
+        """Stand-in for ProcessPoolExecutor: records its size and chunking, runs everything here."""
 
         def __init__(self, max_workers, initializer, initargs):
             seen["max_workers"] = max_workers
@@ -306,9 +323,10 @@ def test_pool_size_is_capped_by_batches_and_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, batches):
-            seen["batches"] = list(batches)
-            return map(fn, seen["batches"])
+        def map(self, fn, tasks, chunksize):
+            seen["tasks"] = list(tasks)
+            seen["chunksize"] = chunksize
+            return map(fn, seen["tasks"])
 
     monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(evaluation, "_WORKER_STATE", {})
@@ -317,7 +335,9 @@ def test_pool_size_is_capped_by_batches_and_cpus(monkeypatch):
     assert seen == {}
     # the stand-in starts no process, so asking for this many is safe here
     pooled = evaluate_algorithm(split, RecommenderConfig("CF_B"), workers=10_000)
-    assert 1 <= seen["max_workers"] <= min(len(seen["batches"]), os.cpu_count() or 1)
+    assert seen["chunksize"] == 1  # so there are as many chunks as tasks
+    assert 1 <= seen["max_workers"] <= min(len(seen["tasks"]), os.cpu_count() or 1)
+    assert [user for user, _ in seen["tasks"]] == sorted(split.test)
     assert pooled == serial
 
 
@@ -340,6 +360,15 @@ def test_full_run_matches_oracle_golden_files(tmp_path):
         got = (tmp_path / name).read_bytes()
         want = Path(HERE, "data", "golden", name).read_bytes()
         assert got == want, f"{name} deviates from golden"
+
+
+def test_golden_files_are_the_oracles_output(tmp_path):
+    """tests/make_golden.py, run now, writes the checked-in golden files byte for byte."""
+    from make_golden import main
+
+    main(str(tmp_path))
+    for name in ("report.txt", "metrics.csv", "summary.json"):
+        assert (tmp_path / name).read_bytes() == Path(HERE, "data", "golden", name).read_bytes(), name
 
 
 def test_config_hash_tracks_settings_not_plumbing():

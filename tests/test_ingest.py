@@ -624,6 +624,13 @@ def _reference_parse(path, spec):
             if not user or not item or not tag:
                 malformed.append((lineno, "empty user, item or tag field"))
                 continue
+            # snapshot rows are TAB-delimited and start with the user label
+            if "\t" in user + item + tag:
+                malformed.append((lineno, "TAB inside a user, item or tag label"))
+                continue
+            if user.startswith("#"):
+                malformed.append((lineno, "user label starts with '#'"))
+                continue
             try:
                 ts = _reference_timestamp(raw_ts, spec.timestamp_format)
             except (ValueError, OverflowError) as exc:
@@ -633,11 +640,22 @@ def _reference_parse(path, spec):
     return rows, vocab, data_rows, malformed
 
 
-# mixed case and space padding; one label in forty is blank
+def _label(kind, pad, text, pad_after):
+    if kind == 0:
+        return " "
+    if kind == 1:
+        text = "#" + text
+    elif kind == 2:
+        text = text[:1] + "\t" + text
+    return pad + text + pad_after
+
+
+# mixed case and space padding; one label in forty is blank, one starts with
+# '#' and one holds a TAB, the two kinds a snapshot could not hold
 _PAD = st.sampled_from(["", "", " "])
-_LABEL = st.tuples(st.sampled_from(range(40)), _PAD, st.text(alphabet="aAbZ0_É", min_size=1, max_size=3), _PAD).map(
-    lambda t: " " if t[0] == 0 else "".join(t[1:])
-)
+_LABEL = st.tuples(
+    st.sampled_from(range(40)), _PAD, st.text(alphabet="aAbZ0_É", min_size=1, max_size=3), _PAD
+).map(lambda t: _label(*t))
 
 # Per format, the strategies a row's timestamp text is drawn from, each
 # equally likely: valid text six times in nine, so that most dumps stay under
@@ -665,8 +683,12 @@ _TIMESTAMPS = {
 }
 
 
+# few distinct labels, so that items are shared and ingest keeps posts
+_FEW_LABELS = st.tuples(st.sampled_from(range(24)), _PAD, st.sampled_from(["a", "É"]), _PAD).map(lambda t: _label(*t))
+
+
 @st.composite
-def _dumps(draw):
+def _dumps(draw, labels=_LABEL):
     fmt = draw(st.sampled_from(["epoch", "iso8601"]))
     delimiter = draw(st.sampled_from(["\t", ",", ";", "::"]))
     width = draw(st.integers(min_value=4, max_value=6))
@@ -680,7 +702,7 @@ def _dumps(draw):
         elif kind == "blank":
             lines.append(draw(st.sampled_from(["", "  ", "\t"])))
         else:
-            fields = [draw(_LABEL) for _ in range(width)]
+            fields = [draw(labels) for _ in range(width)]
             if kind == "repeat" and timestamps:
                 # the previous row's timestamp text, or the one before it, valid or not
                 raw_ts = draw(st.sampled_from(timestamps[-2:]))
@@ -716,3 +738,53 @@ def test_parse_equals_a_plain_reference_parser(dump):
         assert [got.label_of(i) for i in range(len(got))] == [want.label_of(i) for i in range(len(want))]
     assert result.data_rows == data_rows
     assert result.malformed == malformed
+
+
+def _reloaded(folksonomy, tmp):
+    """The folksonomy after write_snapshot and load_snapshot."""
+    snapshot = os.path.join(tmp, "snapshot.tsv")
+    write_snapshot(folksonomy, snapshot)
+    return load_snapshot(snapshot)
+
+
+@given(_dumps(_FEW_LABELS))
+@settings(max_examples=100, deadline=None)
+def test_every_ingested_dump_reloads_from_its_snapshot(dump):
+    layout, text = dump
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dump.txt")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        try:
+            folksonomy, _ = run_pipeline(DatasetSpec(path=path, **layout))
+        except (FormatError, EmptyDatasetError):
+            return
+        reloaded = _reloaded(folksonomy, tmp)
+    assert reloaded.fingerprint() == folksonomy.fingerprint()
+    assert reloaded.stats().line() == folksonomy.stats().line()
+
+
+@pytest.mark.parametrize(
+    "layout, lines, reason",
+    [
+        (
+            {"delimiter": ","},
+            ["u1,i1,web,100", "u2,i1,we\tb,200", "u2,i1,web,300"],
+            "TAB inside a user, item or tag label",
+        ),
+        (
+            {"columns": (1, 0, 2, 3)},
+            ["i1\tu1\tweb\t100", "i1\t#u2\tweb\t200", "i1\tu3\tweb\t300"],
+            "user label starts with '#'",
+        ),
+    ],
+    ids=["tab-in-label", "hash-user"],
+)
+def test_labels_a_snapshot_cannot_hold_are_malformed_rows(tmp_path, layout, lines, reason):
+    path = tmp_path / "dump.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    folksonomy, parsed = run_pipeline(DatasetSpec(path=str(path), **layout))
+    assert parsed.malformed == [(2, reason)]
+    reloaded = _reloaded(folksonomy, str(tmp_path))
+    assert reloaded.fingerprint() == folksonomy.fingerprint()
+    assert reloaded.stats().line() == folksonomy.stats().line() == "B=2 U=2 R=1 T=1 TAS=2"
