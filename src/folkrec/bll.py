@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Sequence
 
-from .errors import ConfigError, NoProfileError
+from .errors import ConfigError, NoProfileError, is_number
 from .model import Folksonomy
 
 # Largest decay exponent. Up to it d * ln(recency) stays finite for any
@@ -26,13 +26,14 @@ MAX_D = 1e300
 
 @dataclass(frozen=True)
 class BllParams:
-    """decay exponent 0 < d <= MAX_D; recencies are measured in seconds."""
+    """decay exponent 0 < d <= MAX_D, stored as a float; recencies are measured in seconds."""
 
     d: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.d <= MAX_D:
-            raise ConfigError(f"decay exponent must be in (0, {MAX_D:g}], got {self.d}")
+        if not (is_number(self.d) and 0.0 < self.d <= MAX_D):
+            raise ConfigError(f"decay exponent must be a number in (0, {MAX_D:g}], got {self.d!r}")
+        object.__setattr__(self, "d", float(self.d))
 
 
 def bll_raw(use_timestamps: Sequence[int], t_ref: int, d: float) -> float:

@@ -15,7 +15,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from dataclasses import fields
+from typing import Dict, List, Optional, Sequence, Set
 
 import yaml
 
@@ -33,8 +34,8 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_IO = 4
 
-_DATASET_KEYS = {"path", "columns", "delimiter", "timestamp_format", "blacklist", "sample_fraction", "seed"}
-_ALGORITHM_KEYS = {"algorithm", "k", "d", "t0_seconds", "floor"}
+_DATASET_KEYS = {f.name for f in fields(DatasetSpec)}
+_ALGORITHM_KEYS = {f.name for f in fields(RecommenderConfig)} - {"bll"} | {"d"}  # d is BllParams.d
 _TOP_KEYS = {"dataset", "snapshot", "split_fraction", "algorithms", "out_dir", "seed", "workers", "count_unserved"}
 
 
@@ -44,9 +45,7 @@ class RunConfig:
     def __init__(self, raw: Dict[str, object], base_dir: str) -> None:
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a mapping at top level")
-        unknown = set(raw) - _TOP_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        _reject_unknown(raw, _TOP_KEYS, "config")
         self.base_dir = base_dir
         self.dataset = self._dataset(raw.get("dataset"))
         self.snapshot = self._path(raw.get("snapshot"))
@@ -77,32 +76,10 @@ class RunConfig:
             return None
         if not isinstance(raw, dict):
             raise ConfigError("'dataset' must be a mapping")
-        unknown = set(raw) - _DATASET_KEYS
-        if unknown:
-            raise ConfigError(f"unknown dataset keys: {', '.join(sorted(unknown))}")
+        _reject_unknown(raw, _DATASET_KEYS, "dataset")
         if "path" not in raw:
             raise ConfigError("'dataset' needs a 'path'")
-        columns = raw.get("columns", [0, 1, 2, 3])
-        if not (
-            isinstance(columns, list)
-            and len(columns) == 4
-            and all(isinstance(c, int) and not isinstance(c, bool) for c in columns)
-        ):
-            raise ConfigError(f"columns must be a list of four integers, got {columns!r}")
-        kwargs = {
-            "path": self._path(raw["path"]),
-            "columns": tuple(columns),
-            "delimiter": _string(raw, "delimiter", "\t"),
-            "timestamp_format": _string(raw, "timestamp_format", "epoch"),
-            "sample_fraction": _number(raw, "sample_fraction", 1.0),
-            "seed": _number(raw, "seed", 0, int),
-        }
-        if "blacklist" in raw:
-            blacklist = [] if raw["blacklist"] is None else raw["blacklist"]
-            if not (isinstance(blacklist, list) and all(isinstance(p, str) for p in blacklist)):
-                raise ConfigError(f"blacklist must be a list of strings or null, got {blacklist!r}")
-            kwargs["blacklist"] = tuple(blacklist)
-        return DatasetSpec(**kwargs)
+        return DatasetSpec(**{**raw, "path": self._path(raw["path"])})
 
     def _algorithms(self, raw: Optional[object]) -> List[RecommenderConfig]:
         if raw is None:
@@ -115,26 +92,24 @@ class RunConfig:
                 entry = {"algorithm": entry}
             if not isinstance(entry, dict):
                 raise ConfigError(f"algorithm entry must be a mapping or tag string, got {entry!r}")
-            unknown = set(entry) - _ALGORITHM_KEYS
-            if unknown:
-                raise ConfigError(f"unknown algorithm keys: {', '.join(sorted(unknown))}")
+            _reject_unknown(entry, _ALGORITHM_KEYS, "algorithm")
             if "algorithm" not in entry:
                 raise ConfigError("algorithm entry needs an 'algorithm' tag")
-            kwargs = {
-                "algorithm": str(entry["algorithm"]).upper(),
-                "k": _number(entry, "k", 20, int),
-            }
-            if "d" in entry:
-                kwargs["bll"] = BllParams(d=_number(entry, "d", 0.0))
-            if "t0_seconds" in entry:
-                kwargs["t0_seconds"] = _number(entry, "t0_seconds", 0.0)
-            if "floor" in entry:
-                kwargs["floor"] = _number(entry, "floor", 0.0)
+            kwargs = {**entry, "algorithm": str(entry["algorithm"]).upper()}
+            if "d" in kwargs:
+                kwargs["bll"] = BllParams(kwargs.pop("d"))
             configs.append(RecommenderConfig(**kwargs))
         tags = [c.algorithm for c in configs]
         if len(set(tags)) != len(tags):
             raise ConfigError(f"duplicate algorithm tags: {tags}")
         return configs
+
+
+def _reject_unknown(raw: Dict[object, object], known: Set[str], what: str) -> None:
+    """Reject keys outside ``known``; one YAML loads as a number, bool or null is named as text."""
+    unknown = sorted(str(key) for key in set(raw) - known)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
 def _number(raw: Dict[str, object], key: str, default: float, kind: type = float) -> int | float:
@@ -146,14 +121,6 @@ def _number(raw: Dict[str, object], key: str, default: float, kind: type = float
         return kind(value)
     except OverflowError:
         raise ConfigError(f"{key} is out of range: {value!r}") from None
-
-
-def _string(raw: Dict[str, object], key: str, default: str) -> str:
-    """``raw[key]``, which must be a YAML string."""
-    value = raw.get(key, default)
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
-    return value
 
 
 def load_config(path: str) -> RunConfig:
@@ -247,6 +214,10 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         }
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise FormatError(f"report {report_path} is not a folkrec summary: {type(exc).__name__} {exc}") from None
+    # the tags name the files, so one like "../x" would write outside out_dir
+    unknown = sorted(set(payload["algorithms"]) - set(ALGORITHMS))
+    if unknown:
+        raise FormatError(f"report {report_path} is not a folkrec summary: unknown algorithm tags {unknown}")
     out_dir = args.out or os.path.join(os.path.dirname(os.path.abspath(report_path)), "plotdata")
     os.makedirs(out_dir, exist_ok=True)
     for name, text in tables.items():
@@ -296,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the configured algorithms and write reports")
     common(p_run)
-    p_run.add_argument("--seed", type=int, help="sampling seed (overrides config)")
+    p_run.add_argument("--seed", type=int, help="top-level seed, echoed into the report; sampling uses dataset.seed")
     p_run.add_argument("--workers", type=int, help="worker processes (overrides config)")
     p_run.set_defaults(func=cmd_run)
 

@@ -19,3 +19,13 @@ class ConfigError(FolkrecError):
 
 class NoProfileError(FolkrecError):
     """Raised when a user has no training profile to compute from."""
+
+
+def is_integer(value: object) -> bool:
+    """An int and not a bool (YAML's true and false load as bools, which subclass int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: object) -> bool:
+    """An int or a float and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

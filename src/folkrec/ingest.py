@@ -12,6 +12,7 @@ unique-resource removal keeps or drops whole posts, and the indexed
 from __future__ import annotations
 
 import math
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from .errors import ConfigError, EmptyDatasetError, FormatError
+from .errors import ConfigError, EmptyDatasetError, FormatError, is_integer, is_number
 from .model import Assignment, Folksonomy, Post, Vocab, _label_chunks, _snapshot_rows, build_folksonomy, group_posts
 
 # Tags auto-generated by import tooling rather than chosen by a person.
@@ -31,11 +32,15 @@ _SNAPSHOT_HEADER = "# folkrec snapshot v1\n"
 _FINGERPRINT_PREFIX = "# fingerprint="
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetSpec:
-    """Describes one raw dump and how to preprocess it."""
+    """Describes one raw dump and how to preprocess it; every field is checked when built.
 
-    path: str
+    List ``columns`` and ``blacklist`` are stored as tuples, a ``None`` blacklist as ``()``.
+    Frozen, so a checked spec stays checked.
+    """
+
+    path: str | os.PathLike
     columns: Tuple[int, int, int, int] = (0, 1, 2, 3)  # user, item, tag, timestamp
     delimiter: str = "\t"
     timestamp_format: str = "epoch"  # "epoch" | "iso8601"
@@ -44,18 +49,26 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.sample_fraction <= 1.0:
-            raise ConfigError(f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
-        if len(set(self.columns)) != 4:
-            raise ConfigError(f"column positions must be distinct, got {self.columns}")
+        if not isinstance(self.path, (str, os.PathLike)):
+            raise ConfigError(f"path must be a string or os.PathLike, got {self.path!r}")
         # a negative position counts from the row's end, so it can name the
         # same field as a distinct non-negative one
-        if any(c < 0 for c in self.columns):
-            raise ConfigError(f"column positions must be non-negative, got {self.columns}")
-        if not self.delimiter:
-            raise ConfigError("delimiter must not be empty")
+        if not (isinstance(self.columns, (list, tuple)) and len(self.columns) == 4
+                and all(is_integer(c) and c >= 0 for c in self.columns) and len(set(self.columns)) == 4):
+            raise ConfigError(f"columns must be four distinct non-negative integers, got {self.columns!r}")
+        if not (isinstance(self.delimiter, str) and self.delimiter):
+            raise ConfigError(f"delimiter must be a non-empty string, got {self.delimiter!r}")
         if self.timestamp_format not in ("epoch", "iso8601"):
             raise ConfigError(f"unknown timestamp_format: {self.timestamp_format!r}")
+        blacklist = () if self.blacklist is None else self.blacklist
+        if not (isinstance(blacklist, (list, tuple)) and all(isinstance(p, str) for p in blacklist)):
+            raise ConfigError(f"blacklist must be a list of strings or null, got {blacklist!r}")
+        if not (is_number(self.sample_fraction) and 0.0 < self.sample_fraction <= 1.0):
+            raise ConfigError(f"sample_fraction must be a number in (0, 1], got {self.sample_fraction!r}")
+        if not is_integer(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "columns", tuple(self.columns))
+        object.__setattr__(self, "blacklist", tuple(blacklist))
 
 
 @dataclass
@@ -293,7 +306,7 @@ def load_snapshot(path: str | Path) -> Folksonomy:
     or edited one is a FormatError. The checked digest stays cached as the
     folksonomy's fingerprint. A dump without that header loads unchecked.
     """
-    parsed = parse(DatasetSpec(path=str(path), blacklist=()))
+    parsed = parse(DatasetSpec(path=path, blacklist=()))
     if not parsed.assignments:
         raise EmptyDatasetError(f"snapshot {path} holds no assignments")
     folksonomy = build_folksonomy(parsed.assignments, parsed.vocab)

@@ -121,7 +121,7 @@ class Folksonomy:
     (user, item), as :func:`build_folksonomy` leaves them; the per-user and
     per-item accessors rely on that order, and so do the filters that keep a
     subset of another folksonomy's posts. Tag statistics (counts, use times,
-    the tag set) are not stored: each accessor derives them from the posts
+    the number of distinct tags) are not stored: each accessor derives them from the posts
     when called. Safe for concurrent reads; never mutated after construction.
     """
 
@@ -149,9 +149,6 @@ class Folksonomy:
 
     def items(self) -> List[int]:
         return sorted(self._item_posts)
-
-    def tags(self) -> List[int]:
-        return sorted(_tag_counts(self.posts))
 
     def posts_of_user(self, user: int) -> Tuple[Post, ...]:
         return self._user_posts.get(user, ())
@@ -190,7 +187,7 @@ class Folksonomy:
             bookmarks=len(self.posts),
             users=len(self._user_posts),
             resources=len(self._item_posts),
-            tags=len(self.tags()),
+            tags=len(_tag_counts(self.posts)),
             assignments=sum(len(p.tag_times) for p in self.posts),
         )
 

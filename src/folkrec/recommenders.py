@@ -24,12 +24,13 @@ Algorithm tags:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .bll import BllParams, bll_item, build_bll_profile
-from .errors import ConfigError, NoProfileError
+from .errors import ConfigError, NoProfileError, is_integer, is_number
 from .model import Folksonomy
 from .similarity import (
     BINARY_ITEM,
@@ -76,14 +77,19 @@ class RecommenderConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm tag {self.algorithm!r}; known: {', '.join(ALGORITHMS)}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if not (math.isfinite(self.t0_seconds) and self.t0_seconds > 0.0):
-            raise ConfigError(f"t0_seconds must be positive and finite, got {self.t0_seconds}")
+        if not (is_integer(self.k) and self.k >= 1):
+            raise ConfigError(f"k must be an integer >= 1, got {self.k!r}")
+        if not isinstance(self.bll, BllParams):
+            raise ConfigError(f"bll must be a BllParams, got {self.bll!r}")
+        if not (is_number(self.t0_seconds) and 0.0 < self.t0_seconds <= sys.float_info.max):
+            raise ConfigError(f"t0_seconds must be a positive finite number, got {self.t0_seconds!r}")
         # per-use weights lie in [0, 1]; a floor above 1 would only rescale
         # every weight alike, and from ~1e154 on their squares overflow
-        if not 0.0 <= self.floor <= 1.0:
-            raise ConfigError(f"floor must be in [0, 1], got {self.floor}")
+        if not (is_number(self.floor) and 0.0 <= self.floor <= 1.0):
+            raise ConfigError(f"floor must be a number in [0, 1], got {self.floor!r}")
+        # stored as floats, so an int setting echoes into the report as a float does
+        object.__setattr__(self, "t0_seconds", float(self.t0_seconds))
+        object.__setattr__(self, "floor", float(self.floor))
 
 
 class Recommender:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Iterable, List, Tuple
 
 import pytest
+from hypothesis import strategies as st
 
 from folkrec.model import Folksonomy, Vocab, build_folksonomy
+from folkrec.recommenders import K_MAX, RecommenderConfig, build_recommender
+from folkrec.split import SplitResult, chronological_split
 
 Row = Tuple[str, str, str, int]
 
@@ -56,6 +60,32 @@ def random_rows(
 def random_folksonomy(seed: int, n_users: int = 30, n_items: int = 40, n_tags: int = 15, n_posts: int = 150) -> Folksonomy:
     rng = random.Random(seed)
     return folksonomy_from_rows(random_rows(rng, n_users, n_items, n_tags, n_posts))
+
+
+# Any value a caller or a YAML file could put in one settings field: wrong
+# types, bools, non-finite, tiny and huge numbers, strings, lists and None.
+ANY_SETTING = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from((math.nan, math.inf, -math.inf, 5e-324, 0.5, 1e300, 2**64, 10**400)),
+    st.text(max_size=6),
+    st.lists(st.one_of(st.integers(min_value=-1, max_value=5), st.floats(), st.text(max_size=3)), max_size=5),
+    st.lists(st.integers(min_value=-1, max_value=5), min_size=4, max_size=4).map(tuple),
+)
+
+TINY_SPLIT = chronological_split(random_folksonomy(7), 0.2)
+
+
+def assert_config_serves(split: SplitResult, config: RecommenderConfig) -> None:
+    """Every test user gets a list of at most K_MAX items with finite, non-increasing scores."""
+    recommender = build_recommender(split.train, split.t_ref, config)
+    for user in sorted(split.test):
+        scores = [score for _, score in recommender.recommend(user).entries]
+        assert len(scores) <= K_MAX
+        assert all(math.isfinite(score) for score in scores), (config, user)
+        assert scores == sorted(scores, reverse=True), (config, user)
 
 
 @pytest.fixture

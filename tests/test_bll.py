@@ -4,13 +4,14 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from folkrec.bll import MAX_D, BllParams, bll_item, bll_raw, build_bll_profile, normalize_profile
 from folkrec.errors import ConfigError, NoProfileError
+from folkrec.recommenders import RecommenderConfig
 
-from conftest import folksonomy_from_rows
+from conftest import ANY_SETTING, TINY_SPLIT, assert_config_serves, folksonomy_from_rows
 
 
 def test_single_use_at_recency_one_is_zero():
@@ -86,6 +87,19 @@ def test_preconditions():
         with pytest.raises(ConfigError):
             BllParams(d=d)
     assert BllParams(d=MAX_D).d == MAX_D
+
+
+@settings(max_examples=100, deadline=None)
+@given(ANY_SETTING)
+@example("0.5")
+@example(True)
+def test_every_decay_is_rejected_or_serves(d):
+    try:
+        params = BllParams(d)
+    except ConfigError:
+        return
+    assert type(params.d) is float
+    assert_config_serves(TINY_SPLIT, RecommenderConfig("CIRTT", bll=params))
 
 
 def test_profile_of_single_tag_user():

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, output stability."""
 
+import json
 import math
 import os
 import shutil
@@ -194,6 +195,9 @@ def test_unknown_config_key_is_config_error(workdir, capsys):
         ("    floor: 0.0", "    floor: .inf"),
         ("    d: 0.5", "    d: .inf"),
         ("    t0_seconds: 8640000.0", "    t0_seconds: .inf"),
+        ("  path: mini.tsv", "  path: null"),
+        ("workers: 1", "workers: 1\n1: 2"),  # keys YAML loads as numbers are unknown keys too
+        ("  seed: 0", "  seed: 0\n  true: 1"),
     ],
 )
 def test_bad_config_value_is_config_error(workdir, capsys, line, mistake):
@@ -272,6 +276,20 @@ def test_run_twice_is_byte_identical(workdir, capsys):
         assert (workdir / "r1" / name).read_bytes() == (workdir / "r2" / name).read_bytes()
 
 
+def test_seed_flag_changes_only_the_echoed_seed(workdir, capsys):
+    # sampling uses dataset.seed, so the sampled data and every score stay put
+    config = workdir / "mini_config.yaml"
+    config.write_text(config.read_text().replace("  sample_fraction: 1.0", "  sample_fraction: 0.5"))
+    summaries = []
+    for seed in (0, 5):
+        assert run_cli("run", "--config", config, "--seed", seed, "--out", workdir / f"s{seed}") == EXIT_OK
+        summaries.append(json.loads((workdir / f"s{seed}" / "summary.json").read_text()))
+    a, b = summaries
+    assert (a["config"].pop("seed"), b["config"].pop("seed")) == (0, 5)
+    assert a.pop("config_hash") != b.pop("config_hash")
+    assert a == b
+
+
 def test_worker_count_does_not_change_bytes(workdir, capsys):
     run_cli("run", "--config", workdir / "mini_config.yaml", "--out", workdir / "w1", "--workers", 1)
     run_cli("run", "--config", workdir / "mini_config.yaml", "--out", workdir / "w2", "--workers", 3)
@@ -340,9 +358,24 @@ def test_plotdata_series_round_trip(workdir, capsys):
             assert value == csv_rows[(algo, int(k))][metric]
 
 
+# a well-formed summary whose tag would name files outside the output directory
+ESCAPING_SUMMARY = json.dumps(
+    {
+        "dataset_fingerprint": "f",
+        "config_hash": "h",
+        "algorithms": {"../escaped": {metric: [0.0] * 20 for metric in ("ndcg", "map", "recall")}},
+    }
+)
+
+
 @pytest.mark.parametrize(
     "text",
-    ["{not json", "{}", '{"dataset_fingerprint": "f", "config_hash": "h", "algorithms": {"MP": {}}}'],
+    [
+        "{not json",
+        "{}",
+        '{"dataset_fingerprint": "f", "config_hash": "h", "algorithms": {"MP": {}}}',
+        ESCAPING_SUMMARY,
+    ],
 )
 def test_plotdata_bad_summary_is_data_error(workdir, capsys, text):
     (workdir / "summary.json").write_text(text)
@@ -352,6 +385,7 @@ def test_plotdata_bad_summary_is_data_error(workdir, capsys, text):
     assert err.startswith("data error:")
     assert "Traceback" not in err
     assert not (workdir / "plotdata").exists()
+    assert not list(workdir.rglob("*.csv"))
 
 
 def test_recommend_emits_user_item_rank_score(workdir, capsys):

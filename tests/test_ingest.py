@@ -1,5 +1,6 @@
 """Parsing, tag blacklisting, user sampling, unique-resource removal, snapshots."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -8,7 +9,7 @@ import tempfile
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from folkrec import ingest, model
@@ -28,7 +29,7 @@ from folkrec.model import Folksonomy, Vocab, build_folksonomy, fingerprint
 from folkrec.split import chronological_split
 from folkrec.synth import write_tsv
 
-from conftest import folksonomy_from_rows, random_folksonomy, random_rows
+from conftest import ANY_SETTING, folksonomy_from_rows, random_folksonomy, random_rows
 
 
 def write_rows(path, rows):
@@ -157,6 +158,86 @@ def test_spec_validation():
         DatasetSpec(path="x", columns=(3, 1, 2, -1))
     with pytest.raises(ConfigError):
         DatasetSpec(path="x", delimiter="")
+
+
+@pytest.fixture(scope="module")
+def six_row_dump(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dump") / "d.tsv"
+    write_rows(
+        path,
+        [
+            ("u1", "i1", "web", 100),
+            ("u1", "i1", "bibtex-import", 100),
+            ("u2", "i1", "t", 200),
+            ("u2", "i2", "x", 210),
+            ("u3", "i2", "web", 300),
+            ("u3", "i1", "css", 310),
+        ],
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"blacklist": "bibtex-import"},  # would be read as one pattern per character
+        {"blacklist": ["web", 7]},
+        {"columns": (0, 1, 2, 3.0)},
+        {"columns": (0, 1, 2, True)},
+        {"columns": "0123"},
+        {"delimiter": 5},
+        {"timestamp_format": None},
+        {"sample_fraction": True},
+        {"sample_fraction": "0.5"},
+        {"seed": None},
+        {"seed": 1.0},
+        {"path": 5},  # open() would read file descriptor 5
+        {"path": None},
+        {"path": b"d.tsv"},
+    ],
+)
+def test_spec_rejects_a_wrong_type(kwargs):
+    with pytest.raises(ConfigError):
+        DatasetSpec(**{"path": "x", **kwargs})
+
+
+def test_spec_accepts_lists_none_and_a_path_object(six_row_dump):
+    def fingerprint(**kwargs):
+        return run_pipeline(DatasetSpec(**{"path": str(six_row_dump), **kwargs}))[0].fingerprint()
+
+    assert fingerprint(path=six_row_dump) == fingerprint()
+    assert fingerprint(columns=[0, 1, 2, 3], blacklist=["bibtex-import"]) == fingerprint()
+    assert fingerprint(blacklist=None) == fingerprint(blacklist=())
+
+
+def test_spec_stores_lists_and_none_as_tuples():
+    spec = DatasetSpec(path="x", columns=[0, 1, 2, 3], blacklist=["bibtex-import"])
+    assert (spec.columns, spec.blacklist) == ((0, 1, 2, 3), ("bibtex-import",))
+    assert DatasetSpec(path="x", blacklist=None).blacklist == ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.blacklist = "bibtex-import"  # a checked spec stays checked
+
+
+# path is not drawn: any string names some file, so what it reads depends on
+# the working directory; its type rule is covered by the examples above
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from([f.name for f in dataclasses.fields(DatasetSpec) if f.name != "path"]), value=ANY_SETTING)
+@example(name="columns", value=(0, 1, 2, 3.0))
+@example(name="delimiter", value=5)
+@example(name="blacklist", value="bibtex-import")
+@example(name="seed", value=None)
+def test_every_spec_is_rejected_or_runs(six_row_dump, name, value):
+    try:
+        spec = DatasetSpec(path=str(six_row_dump), **{name: value})
+    except ConfigError:
+        return
+    assert isinstance(spec.columns, tuple)
+    assert isinstance(spec.blacklist, tuple) and all(isinstance(p, str) for p in spec.blacklist)
+    try:
+        folksonomy, _ = run_pipeline(spec)
+    except (FormatError, EmptyDatasetError):
+        return  # settings that do not fit the dump are a data error, exit 3
+    assert run_pipeline(spec)[0].fingerprint() == folksonomy.fingerprint()
 
 
 def test_default_blacklist_removes_bibtex_import(tmp_path):

@@ -1,12 +1,14 @@
 """The six algorithms against brute-force oracles and targeted fixtures."""
 
+import dataclasses
 import math
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from folkrec.bll import BllParams
 from folkrec.errors import ConfigError
 from folkrec.ingest import DatasetSpec, run_pipeline
 from folkrec.recommenders import (
@@ -22,7 +24,7 @@ from folkrec.recommenders import (
 )
 from folkrec.split import chronological_split, reference_times
 
-from conftest import folksonomy_from_rows, random_folksonomy
+from conftest import ANY_SETTING, TINY_SPLIT, assert_config_serves, folksonomy_from_rows, random_folksonomy
 from oracles import o_cosine, o_item_taggers, o_ranking, o_zheng
 
 MINI = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "mini.tsv")
@@ -42,6 +44,48 @@ def test_config_validation():
             RecommenderConfig("H", **bad)
     assert RecommenderConfig("H", floor=1.0).floor == 1.0
     assert set(ALGORITHMS) == {"MP", "CF_B", "CF_T", "Z", "H", "CIRTT"}
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"k": 2.5},  # would fail in best_first at the first recommend
+        {"k": True},
+        {"k": "20"},
+        {"bll": 0.5},
+        {"t0_seconds": "60"},
+        {"t0_seconds": 10**400},
+        {"floor": None},
+        {"floor": False},
+        {"algorithm": ["MP"]},
+    ],
+)
+def test_config_rejects_a_wrong_type(kwargs):
+    with pytest.raises(ConfigError):
+        RecommenderConfig(**{"algorithm": "CF_B", **kwargs})
+
+
+def test_int_settings_are_stored_as_floats():
+    # the report echoes these, so 60 and 60.0 must give one config hash
+    config = RecommenderConfig("Z", t0_seconds=60, floor=1, bll=BllParams(2))
+    assert config == RecommenderConfig("Z", t0_seconds=60.0, floor=1.0, bll=BllParams(2.0))
+    assert [type(x) for x in (config.t0_seconds, config.floor, config.bll.d)] == [float, float, float]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tag=st.sampled_from(ALGORITHMS),
+    name=st.sampled_from([f.name for f in dataclasses.fields(RecommenderConfig)]),
+    value=st.one_of(ANY_SETTING, st.just(BllParams(2.0))),
+)
+@example(tag="CF_B", name="k", value=2.5)
+@example(tag="CIRTT", name="bll", value=0.5)
+def test_every_config_is_rejected_or_serves(tag, name, value):
+    try:
+        config = RecommenderConfig(**{"algorithm": tag, name: value})
+    except ConfigError:
+        return
+    assert_config_serves(TINY_SPLIT, config)
 
 
 def test_mp_counts_and_exclusion():
