@@ -11,6 +11,7 @@ from .errors import ConfigError, EmptyDatasetError, FolkrecError, FormatError, N
 from .evaluation import (
     AlgorithmReport,
     EvalReport,
+    ExperimentConfig,
     K_MAX,
     diversity,
     evaluate_algorithm,
@@ -49,6 +50,7 @@ __all__ = [
     "DatasetSpec",
     "EmptyDatasetError",
     "EvalReport",
+    "ExperimentConfig",
     "ExpDecayCF",
     "FolkrecError",
     "Folksonomy",

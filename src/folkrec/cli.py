@@ -1,10 +1,13 @@
 """Command-line front door: ingest, split, run, plotdata, recommend.
 
 Experiments are described by one YAML config file (archivable, diffable)
-rather than long flag chains; `--seed`, `--workers`, and `--out` override
-the corresponding config fields. Relative paths inside a config resolve
+rather than long flag chains. `load_config` maps its sections onto the
+settings types (`DatasetSpec`, `RecommenderConfig` with `BllParams`,
+`ExperimentConfig`), which check every value; this module only rejects
+unknown keys and resolves paths. Relative paths inside a config resolve
 against the config file's directory, so a config plus its data moves as a
-unit.
+unit. `--out`, `--seed` and `--workers` replace the matching config fields,
+and the settings types check them again.
 
 Exit codes: 0 success, 2 config problem, 3 data problem, 4 I/O problem.
 """
@@ -15,15 +18,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
-from typing import Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass, fields, replace
+from typing import Dict, Optional, Sequence, Set
 
 import yaml
 
 from . import __version__
 from .bll import BllParams
 from .errors import ConfigError, EmptyDatasetError, FormatError
-from .evaluation import K_MAX, run_experiment, write_reports
+from .evaluation import K_MAX, ExperimentConfig, run_experiment, write_reports
 from .ingest import DatasetSpec, load_snapshot, run_pipeline, write_snapshot
 from .model import Folksonomy
 from .recommenders import ALGORITHMS, RecommenderConfig, build_recommender
@@ -34,75 +37,21 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_IO = 4
 
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One YAML config file, mapped onto the settings types."""
+
+    dataset: Optional[DatasetSpec]
+    snapshot: Optional[str]
+    out_dir: str
+    experiment: ExperimentConfig
+
+
 _DATASET_KEYS = {f.name for f in fields(DatasetSpec)}
 _ALGORITHM_KEYS = {f.name for f in fields(RecommenderConfig)} - {"bll"} | {"d"}  # d is BllParams.d
-_TOP_KEYS = {"dataset", "snapshot", "split_fraction", "algorithms", "out_dir", "seed", "workers", "count_unserved"}
-
-
-class RunConfig:
-    """Validated contents of one YAML config file."""
-
-    def __init__(self, raw: Dict[str, object], base_dir: str) -> None:
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a mapping at top level")
-        _reject_unknown(raw, _TOP_KEYS, "config")
-        self.base_dir = base_dir
-        self.dataset = self._dataset(raw.get("dataset"))
-        self.snapshot = self._path(raw.get("snapshot"))
-        if self.dataset is None and self.snapshot is None:
-            raise ConfigError("config needs a 'dataset' section or a 'snapshot' path")
-        self.split_fraction = _number(raw, "split_fraction", 0.2)
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
-        self.seed = _number(raw, "seed", 0, int)
-        self.workers = _number(raw, "workers", 1, int)
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        self.count_unserved = raw.get("count_unserved", True)
-        if not isinstance(self.count_unserved, bool):
-            raise ConfigError(f"count_unserved must be true or false, got {self.count_unserved!r}")
-        self.out_dir = self._path(raw.get("out_dir")) or os.path.join(base_dir, "out")
-        self.algorithms = self._algorithms(raw.get("algorithms"))
-
-    def _path(self, value: Optional[object]) -> Optional[str]:
-        if value is None:
-            return None
-        if not isinstance(value, str):
-            raise ConfigError(f"expected a path string, got {value!r}")
-        return value if os.path.isabs(value) else os.path.join(self.base_dir, value)
-
-    def _dataset(self, raw: Optional[object]) -> Optional[DatasetSpec]:
-        if raw is None:
-            return None
-        if not isinstance(raw, dict):
-            raise ConfigError("'dataset' must be a mapping")
-        _reject_unknown(raw, _DATASET_KEYS, "dataset")
-        if "path" not in raw:
-            raise ConfigError("'dataset' needs a 'path'")
-        return DatasetSpec(**{**raw, "path": self._path(raw["path"])})
-
-    def _algorithms(self, raw: Optional[object]) -> List[RecommenderConfig]:
-        if raw is None:
-            return []
-        if not isinstance(raw, list):
-            raise ConfigError("'algorithms' must be a list")
-        configs = []
-        for entry in raw:
-            if isinstance(entry, str):
-                entry = {"algorithm": entry}
-            if not isinstance(entry, dict):
-                raise ConfigError(f"algorithm entry must be a mapping or tag string, got {entry!r}")
-            _reject_unknown(entry, _ALGORITHM_KEYS, "algorithm")
-            if "algorithm" not in entry:
-                raise ConfigError("algorithm entry needs an 'algorithm' tag")
-            kwargs = {**entry, "algorithm": str(entry["algorithm"]).upper()}
-            if "d" in kwargs:
-                kwargs["bll"] = BllParams(kwargs.pop("d"))
-            configs.append(RecommenderConfig(**kwargs))
-        tags = [c.algorithm for c in configs]
-        if len(set(tags)) != len(tags):
-            raise ConfigError(f"duplicate algorithm tags: {tags}")
-        return configs
+_EXPERIMENT_KEYS = {f.name for f in fields(ExperimentConfig)}
+_TOP_KEYS = {f.name for f in fields(RunConfig)} - {"experiment"} | _EXPERIMENT_KEYS
 
 
 def _reject_unknown(raw: Dict[object, object], known: Set[str], what: str) -> None:
@@ -112,24 +61,67 @@ def _reject_unknown(raw: Dict[object, object], known: Set[str], what: str) -> No
         raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
-def _number(raw: Dict[str, object], key: str, default: float, kind: type = float) -> int | float:
-    """``raw[key]`` as ``kind``: YAML ints, or floats too when ``kind`` is float; never bools or strings."""
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
-        raise ConfigError(f"{key} must be {'a number' if kind is float else 'an integer'}, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError:
-        raise ConfigError(f"{key} is out of range: {value!r}") from None
+def _algorithm(entry: object) -> RecommenderConfig:
+    """One ``algorithms`` entry: a tag string, or a mapping with ``d`` for ``BllParams.d``."""
+    if isinstance(entry, str):
+        entry = {"algorithm": entry}
+    if not isinstance(entry, dict):
+        raise ConfigError(f"algorithm entry must be a mapping or tag string, got {entry!r}")
+    _reject_unknown(entry, _ALGORITHM_KEYS, "algorithm")
+    if "algorithm" not in entry:
+        raise ConfigError("algorithm entry needs an 'algorithm' tag")
+    kwargs = {**entry, "algorithm": str(entry["algorithm"]).upper()}
+    if "d" in kwargs:
+        kwargs["bll"] = BllParams(kwargs.pop("d"))
+    return RecommenderConfig(**kwargs)
 
 
 def load_config(path: str) -> RunConfig:
+    """Map one YAML config file onto the settings types, which check every value."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = yaml.safe_load(handle)
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raw = yaml.safe_load(handle) or {}
+    # ValueError covers UnicodeDecodeError and an integer past Python's digit limit
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    return RunConfig(raw or {}, os.path.dirname(os.path.abspath(path)))
+    if not isinstance(raw, dict):
+        raise ConfigError("config file must hold a mapping at top level")
+    _reject_unknown(raw, _TOP_KEYS, "config")
+    base_dir = os.path.dirname(os.path.abspath(path))
+
+    def resolve(value: object) -> Optional[str]:
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"expected a path string, got {value!r}")
+        # join keeps an absolute value as it is
+        return None if value is None else os.path.join(base_dir, value)
+
+    dataset = raw.get("dataset")
+    if dataset is not None:
+        if not isinstance(dataset, dict):
+            raise ConfigError("'dataset' must be a mapping")
+        _reject_unknown(dataset, _DATASET_KEYS, "dataset")
+        dataset = DatasetSpec(**{**dataset, "path": resolve(dataset.get("path"))})
+    snapshot = resolve(raw.get("snapshot"))
+    if dataset is None and snapshot is None:
+        raise ConfigError("config needs a 'dataset' section or a 'snapshot' path")
+    algorithms = [] if raw.get("algorithms") is None else raw["algorithms"]
+    if not isinstance(algorithms, list):
+        raise ConfigError("'algorithms' must be a list")
+    experiment = {key: raw[key] for key in _EXPERIMENT_KEYS if key in raw}
+    return RunConfig(
+        dataset=dataset,
+        snapshot=snapshot,
+        out_dir=resolve(raw.get("out_dir")) or os.path.join(base_dir, "out"),
+        experiment=ExperimentConfig(**{**experiment, "algorithms": [_algorithm(e) for e in algorithms]}),
+    )
+
+
+def _load_args(args: argparse.Namespace) -> RunConfig:
+    """The config file with the command line's overrides, which the settings types check."""
+    config = load_config(args.config)
+    overrides = {key: getattr(args, key, None) for key in ("seed", "workers")}
+    experiment = replace(config.experiment, **{k: v for k, v in overrides.items() if v is not None})
+    return replace(config, out_dir=args.out or config.out_dir, experiment=experiment)
 
 
 def _load_folksonomy(config: RunConfig) -> Folksonomy:
@@ -143,49 +135,34 @@ def _load_folksonomy(config: RunConfig) -> Folksonomy:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+    config = _load_args(args)
     if config.dataset is None:
         raise ConfigError("ingest needs a 'dataset' section in the config")
-    out_dir = args.out or config.out_dir
     folksonomy = _load_folksonomy(config)
     print(folksonomy.stats().line())
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "snapshot.tsv")
+    os.makedirs(config.out_dir, exist_ok=True)
+    path = os.path.join(config.out_dir, "snapshot.tsv")
     write_snapshot(folksonomy, path)
     print(f"snapshot written to {path}")
     return EXIT_OK
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    out_dir = args.out or config.out_dir
+    config = _load_args(args)
     folksonomy = _load_folksonomy(config)
-    split = chronological_split(folksonomy, config.split_fraction)
-    write_split(split, out_dir)
-    print(f"split written to {out_dir} ({len(split.test)} test users)")
+    split = chronological_split(folksonomy, config.experiment.split_fraction)
+    write_split(split, config.out_dir)
+    print(f"split written to {config.out_dir} ({len(split.test)} test users)")
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    if not config.algorithms:
+    config = _load_args(args)
+    if not config.experiment.algorithms:
         raise ConfigError("run needs a non-empty 'algorithms' list in the config")
-    seed = args.seed if args.seed is not None else config.seed
-    workers = args.workers if args.workers is not None else config.workers
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    out_dir = args.out or config.out_dir
     folksonomy = _load_folksonomy(config)
-    report = run_experiment(
-        folksonomy,
-        config.algorithms,
-        split_fraction=config.split_fraction,
-        seed=seed,
-        workers=workers,
-        count_unserved=config.count_unserved,
-    )
-    write_reports(report, out_dir)
-    print(f"reports written to {out_dir}")
+    write_reports(run_experiment(folksonomy, config.experiment), config.out_dir)
+    print(f"reports written to {config.out_dir}")
     return EXIT_OK
 
 
@@ -228,9 +205,9 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+    config = _load_args(args)
     tag = args.algorithm.upper()
-    algo_config = next((c for c in config.algorithms if c.algorithm == tag), None)
+    algo_config = next((c for c in config.experiment.algorithms if c.algorithm == tag), None)
     if algo_config is None:
         algo_config = RecommenderConfig(tag)
     if args.n < 1:

@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, IO, List, Mapping, Sequence, Set, Tuple
 
-from .errors import ConfigError, EmptyDatasetError
+from .errors import ConfigError, EmptyDatasetError, is_integer, is_number
 from .model import Folksonomy, fingerprint
 from .recommenders import K_MAX, RecommenderConfig, build_recommender
 from .similarity import SparseVector, item_tag_vectors, overlapping_pair_cosines
@@ -272,30 +272,50 @@ def config_hash(echo: Mapping[str, object]) -> str:
     return hashlib.sha256(json.dumps(echo, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def run_experiment(
-    folksonomy: Folksonomy,
-    configs: Sequence[RecommenderConfig],
-    split_fraction: float = 0.2,
-    seed: int = 0,
-    workers: int = 1,
-    count_unserved: bool = True,
-) -> EvalReport:
-    """Split once, evaluate every configured algorithm on the same split.
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The settings of one run; every field is checked when built.
 
-    The seed does not drive anything here (the split is chronological); it
-    is echoed into the report metadata so a run records the sampling seed
-    its input dataset was built with.
+    A list of ``algorithms`` is stored as a tuple. It may be empty, as a
+    config for ingest or split only is, but ``run_experiment`` needs one.
+    The seed does not drive anything (the split is chronological); it is
+    echoed into the report so a run records the sampling seed its input was
+    built with. ``workers`` never changes the output, so it is not echoed.
     """
-    if not configs:
+
+    algorithms: Tuple[RecommenderConfig, ...] = ()
+    split_fraction: float = 0.2
+    seed: int = 0
+    workers: int = 1
+    count_unserved: bool = True
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.algorithms, (list, tuple))
+                and all(isinstance(c, RecommenderConfig) for c in self.algorithms)):
+            raise ConfigError(f"algorithms must be a list of RecommenderConfig, got {self.algorithms!r}")
+        tags = [c.algorithm for c in self.algorithms]
+        if len(set(tags)) != len(tags):
+            raise ConfigError(f"duplicate algorithm tags: {tags}")
+        if not (is_number(self.split_fraction) and 0.0 < self.split_fraction < 1.0):
+            raise ConfigError(f"split_fraction must be a number in (0, 1), got {self.split_fraction!r}")
+        if not is_integer(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not (is_integer(self.workers) and self.workers >= 1):
+            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
+        if not isinstance(self.count_unserved, bool):
+            raise ConfigError(f"count_unserved must be true or false, got {self.count_unserved!r}")
+        object.__setattr__(self, "algorithms", tuple(self.algorithms))
+
+
+def run_experiment(folksonomy: Folksonomy, experiment: ExperimentConfig) -> EvalReport:
+    """Split once, evaluate every configured algorithm on the same split."""
+    if not experiment.algorithms:
         raise ConfigError("at least one algorithm config is required")
-    tags = [c.algorithm for c in configs]
-    if len(set(tags)) != len(tags):
-        raise ConfigError(f"duplicate algorithm tags in experiment: {tags}")
-    split = chronological_split(folksonomy, split_fraction)
-    echo = _config_echo(configs, split_fraction, seed, count_unserved)
+    split = chronological_split(folksonomy, experiment.split_fraction)
+    echo = _config_echo(experiment.algorithms, experiment.split_fraction, experiment.seed, experiment.count_unserved)
     reports = tuple(
-        evaluate_algorithm(split, config, workers=workers, count_unserved=count_unserved)
-        for config in configs
+        evaluate_algorithm(split, config, workers=experiment.workers, count_unserved=experiment.count_unserved)
+        for config in experiment.algorithms
     )
     return EvalReport(
         dataset_fingerprint=fingerprint(folksonomy),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet
 
-from .errors import EmptyDatasetError
+from .errors import ConfigError, EmptyDatasetError, is_number
 from .ingest import write_snapshot
 from .model import Folksonomy
 
@@ -53,8 +53,8 @@ def chronological_split(folksonomy: Folksonomy, test_fraction: float = 0.2) -> S
     smaller id counts as older). Train keeps the remaining posts whole and
     in their (user, item) order.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    if not (is_number(test_fraction) and 0.0 < test_fraction < 1.0):
+        raise ConfigError(f"test_fraction must be a number in (0, 1), got {test_fraction!r}")
     test: Dict[int, FrozenSet[int]] = {}
     for user in folksonomy.users():
         posts = sorted(folksonomy.posts_of_user(user), key=lambda p: (p.timestamp, p.item))

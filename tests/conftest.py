@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from folkrec.model import Folksonomy, Vocab, build_folksonomy
 from folkrec.recommenders import K_MAX, RecommenderConfig, build_recommender
 from folkrec.split import SplitResult, chronological_split
+from folkrec.synth import SynthConfig, generate
 
 Row = Tuple[str, str, str, int]
 
@@ -76,6 +77,7 @@ ANY_SETTING = st.one_of(
 )
 
 TINY_SPLIT = chronological_split(random_folksonomy(7), 0.2)
+TINY_SYNTH = generate(SynthConfig(users=30, items=40, tags=20, topics=4, posts_per_user=(5, 8)), seed=0)
 
 
 def assert_config_serves(split: SplitResult, config: RecommenderConfig) -> None:

@@ -18,6 +18,7 @@ from folkrec.bll import bll_raw
 from folkrec.cli import EXIT_OK, main as cli_main
 from folkrec.evaluation import (
     K_MAX,
+    ExperimentConfig,
     diversity,
     map_at_k,
     ndcg_at_k,
@@ -146,8 +147,7 @@ def test_criterion_4_no_leakage_on_mini_folksonomy():
     # _evaluate_user's internal assertions fire on any violation
     report = run_experiment(
         folksonomy,
-        [RecommenderConfig(tag) for tag in ALGORITHMS],
-        split_fraction=0.2,
+        ExperimentConfig([RecommenderConfig(tag) for tag in ALGORITHMS], split_fraction=0.2),
     )
     for tag in ALGORITHMS:
         recommender = build_recommender(split.train, split.t_ref, RecommenderConfig(tag))
@@ -169,7 +169,7 @@ def test_criterion_5_synthetic_drift_ordering():
         f = generate(SynthConfig(), seed=seed)
         stats = f.stats()
         assert stats.users == 200 and stats.resources == 300 and stats.tags == 100
-        report = run_experiment(f, configs, split_fraction=0.2, seed=seed)
+        report = run_experiment(f, ExperimentConfig(configs, split_fraction=0.2, seed=seed))
         mp = report.by_algorithm("MP").ndcg[K_MAX - 1]
         cf_b = report.by_algorithm("CF_B").ndcg[K_MAX - 1]
         cirtt = report.by_algorithm("CIRTT").ndcg[K_MAX - 1]
@@ -211,8 +211,7 @@ def test_criterion_7_stretch_bibsonomy_ordering():
     folksonomy, _ = run_pipeline(spec)
     report = run_experiment(
         folksonomy,
-        [RecommenderConfig(tag) for tag in ("MP", "CF_T", "CF_B", "Z", "CIRTT")],
-        split_fraction=0.2,
+        ExperimentConfig([RecommenderConfig(tag) for tag in ("MP", "CF_T", "CF_B", "Z", "CIRTT")], split_fraction=0.2),
     )
     at20 = {tag: report.by_algorithm(tag).ndcg[K_MAX - 1] for tag in ("MP", "CF_T", "CF_B", "Z", "CIRTT")}
     assert at20["CIRTT"] > at20["Z"] > at20["CF_B"] > at20["CF_T"] > at20["MP"]

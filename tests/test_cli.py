@@ -3,23 +3,27 @@
 import json
 import math
 import os
+import re
 import shutil
 import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import yaml
 
-from folkrec.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, RunConfig, main
+from folkrec.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, load_config, main
 from folkrec.errors import ConfigError
 from folkrec.evaluation import run_experiment
 from folkrec.recommenders import ALGORITHMS, build_recommender
 from folkrec.split import chronological_split
-from folkrec.synth import SynthConfig, generate
+
+from conftest import TINY_SYNTH
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 MINI = os.path.join(HERE, "data", "mini.tsv")
 CONFIG = os.path.join(HERE, "data", "mini_config.yaml")
+README = os.path.join(HERE, os.pardir, "README.md")
 
 
 @pytest.fixture
@@ -198,6 +202,7 @@ def test_unknown_config_key_is_config_error(workdir, capsys):
         ("  path: mini.tsv", "  path: null"),
         ("workers: 1", "workers: 1\n1: 2"),  # keys YAML loads as numbers are unknown keys too
         ("  seed: 0", "  seed: 0\n  true: 1"),
+        ("\nseed: 0\n", "\nseed: 1" + "0" * 5000 + "\n"),  # past Python's int-to-string digit limit
     ],
 )
 def test_bad_config_value_is_config_error(workdir, capsys, line, mistake):
@@ -206,7 +211,9 @@ def test_bad_config_value_is_config_error(workdir, capsys, line, mistake):
     (workdir / "mini_config.yaml").write_text(config.replace(line, mistake))
     code = run_cli("run", "--config", workdir / "mini_config.yaml")
     assert code == EXIT_CONFIG
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert "Traceback" not in err
     assert not (workdir / "out").exists()
 
 
@@ -226,7 +233,6 @@ def test_run_completes_where_decay_underflows(workdir, capsys, line, value):
         assert (workdir / "out" / name).exists()
 
 
-TINY = generate(SynthConfig(users=30, items=40, tags=20, topics=4, posts_per_user=(5, 8)), seed=0)
 EXTREMES = (math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 1e-300, 1e-6, 0.5, 1.0, 150.0, 1e300, sys.float_info.max)
 extreme_floats = st.one_of(st.sampled_from(EXTREMES), st.floats())
 extreme_ints = st.one_of(st.sampled_from((-1, 0, 1, 2, 20, 2**63)), st.integers())
@@ -238,25 +244,41 @@ extreme_ints = st.one_of(st.sampled_from((-1, 0, 1, 2, 20, 2**63)), st.integers(
 @example(0.2, 20, math.inf, math.nan, 0.5)
 @example(0.2, 20, 8640000.0, math.inf, 0.5)
 @example(0.2, 20, 0.002, 0.0, 0.5)
-def test_every_config_is_rejected_or_yields_finite_results(split_fraction, k, t0_seconds, floor, d):
+def test_every_config_is_rejected_or_yields_finite_results(tmp_path_factory, split_fraction, k, t0_seconds, floor, d):
     # each algorithm gets its own config and only its own knob, so one bad
     # knob does not hide the others
     knobs = {"Z": {"t0_seconds": t0_seconds}, "H": {"floor": floor}, "CIRTT": {"d": d}}
+    path = tmp_path_factory.mktemp("config") / "config.yaml"
     for tag in ALGORITHMS:
         entry = {"algorithm": tag, "k": k, **knobs.get(tag, {})}
         raw = {"snapshot": "unused.tsv", "split_fraction": split_fraction, "algorithms": [entry]}
+        path.write_text(yaml.safe_dump(raw))
         try:
-            config = RunConfig(raw, HERE)
-            report = run_experiment(TINY, config.algorithms, config.split_fraction)
+            experiment = load_config(str(path)).experiment
+            report = run_experiment(TINY_SYNTH, experiment)
         except ConfigError:
             continue
         (result,) = report.algorithms
         numbers = result.ndcg + result.map + result.recall + (result.diversity, result.coverage)
         assert all(math.isfinite(x) for x in numbers), (tag, result)
-        split = chronological_split(TINY, config.split_fraction)
-        recommender = build_recommender(split.train, split.t_ref, config.algorithms[0])
+        split = chronological_split(TINY_SYNTH, experiment.split_fraction)
+        recommender = build_recommender(split.train, split.t_ref, experiment.algorithms[0])
         for user in sorted(split.test):
             assert all(math.isfinite(score) for _, score in recommender.recommend(user).entries), (tag, user)
+
+
+def test_readme_config_loads(tmp_path):
+    with open(README, encoding="utf-8") as handle:
+        block = handle.read().split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert "  path: tags.tsv " in block
+    block = block.replace("  path: tags.tsv ", f"  path: {MINI} ")
+    # the commented-out keys are documented too
+    block = re.sub(r"^  # ", "  ", block, flags=re.M)
+    (tmp_path / "config.yaml").write_text(block, encoding="utf-8")
+    config = load_config(str(tmp_path / "config.yaml"))
+    assert (config.dataset.path, config.dataset.sample_fraction) == (MINI, 0.1)
+    assert [c.algorithm for c in config.experiment.algorithms] == ["MP", "CF_B", "Z", "H", "CIRTT"]
+    assert config.out_dir == str(tmp_path / "out")
 
 
 def test_run_writes_all_three_reports(workdir, capsys):
@@ -428,6 +450,7 @@ def test_every_exported_name_resolves_once():
     import folkrec
 
     assert len(set(folkrec.__all__)) == len(folkrec.__all__)
+    assert "ExperimentConfig" in folkrec.__all__
     for name in folkrec.__all__:
         assert hasattr(folkrec, name), name
     assert not hasattr(folkrec, "TagAssignment")

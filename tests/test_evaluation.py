@@ -1,17 +1,19 @@
 """Metric closed forms, aggregation rules, leakage guards, golden reports."""
 
+import dataclasses
 import math
 import os
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from folkrec import evaluation
 from folkrec.errors import ConfigError, EmptyDatasetError
 from folkrec.evaluation import (
     K_MAX,
+    ExperimentConfig,
     diversity,
     evaluate_algorithm,
     item_tag_vectors,
@@ -28,7 +30,7 @@ from folkrec.similarity import SparseVector, item_tagger_vectors
 from folkrec.split import SplitResult, chronological_split
 from folkrec.synth import SynthConfig, generate
 
-from conftest import random_folksonomy
+from conftest import ANY_SETTING, TINY_SYNTH, random_folksonomy
 from oracles import o_cosine
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -276,9 +278,9 @@ def test_no_evaluable_users_raises():
 def test_duplicate_algorithms_rejected():
     folksonomy, _ = _mini_split()
     with pytest.raises(ConfigError):
-        run_experiment(folksonomy, [RecommenderConfig("MP"), RecommenderConfig("MP")])
+        run_experiment(folksonomy, ExperimentConfig([RecommenderConfig("MP"), RecommenderConfig("MP")]))
     with pytest.raises(ConfigError):
-        run_experiment(folksonomy, [])
+        run_experiment(folksonomy, ExperimentConfig([]))
 
 
 def test_evaluation_is_deterministic():
@@ -307,12 +309,10 @@ def test_workers_do_not_change_results():
             assert one == pooled, (tag, len(split.test), workers)
 
 
-def test_pool_size_is_capped_by_batches_and_cpus(monkeypatch):
-    seen = {}
+def in_process_pool(seen):
+    """Stand-in for ProcessPoolExecutor: records its size and chunking in ``seen``, runs everything here."""
 
     class InProcessPool:
-        """Stand-in for ProcessPoolExecutor: records its size and chunking, runs everything here."""
-
         def __init__(self, max_workers, initializer, initargs):
             seen["max_workers"] = max_workers
             initializer(*initargs)
@@ -328,7 +328,12 @@ def test_pool_size_is_capped_by_batches_and_cpus(monkeypatch):
             seen["chunksize"] = chunksize
             return map(fn, seen["tasks"])
 
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+    return InProcessPool
+
+
+def test_pool_size_is_capped_by_batches_and_cpus(monkeypatch):
+    seen = {}
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", in_process_pool(seen))
     monkeypatch.setattr(evaluation, "_WORKER_STATE", {})
     _, split = _mini_split()
     serial = evaluate_algorithm(split, RecommenderConfig("CF_B"), workers=1)
@@ -354,7 +359,7 @@ GOLDEN_CONFIGS = [
 def test_full_run_matches_oracle_golden_files(tmp_path):
     """End-to-end values and layout pinned by the oracle-generated files."""
     folksonomy, _ = _mini_split()
-    report = run_experiment(folksonomy, GOLDEN_CONFIGS, split_fraction=0.2, seed=0)
+    report = run_experiment(folksonomy, ExperimentConfig(GOLDEN_CONFIGS, split_fraction=0.2, seed=0))
     write_reports(report, str(tmp_path))
     for name in ("report.txt", "metrics.csv", "summary.json"):
         got = (tmp_path / name).read_bytes()
@@ -373,18 +378,50 @@ def test_golden_files_are_the_oracles_output(tmp_path):
 
 def test_config_hash_tracks_settings_not_plumbing():
     folksonomy, _ = _mini_split()
-    base = run_experiment(folksonomy, [RecommenderConfig("MP")], seed=0)
-    same = run_experiment(folksonomy, [RecommenderConfig("MP")], seed=0, workers=2)
-    other_seed = run_experiment(folksonomy, [RecommenderConfig("MP")], seed=1)
-    other_algo = run_experiment(folksonomy, [RecommenderConfig("MP", k=5)], seed=0)
+    base = run_experiment(folksonomy, ExperimentConfig([RecommenderConfig("MP")], seed=0))
+    same = run_experiment(folksonomy, ExperimentConfig([RecommenderConfig("MP")], seed=0, workers=2))
+    other_seed = run_experiment(folksonomy, ExperimentConfig([RecommenderConfig("MP")], seed=1))
+    other_algo = run_experiment(folksonomy, ExperimentConfig([RecommenderConfig("MP", k=5)], seed=0))
     assert base.config_hash == same.config_hash
     assert base.config_hash != other_seed.config_hash
     assert base.config_hash != other_algo.config_hash
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from([f.name for f in dataclasses.fields(ExperimentConfig)]),
+    value=st.one_of(ANY_SETTING, st.just([RecommenderConfig("CIRTT")])),
+)
+@example(name="count_unserved", value="no")
+@example(name="split_fraction", value="0.2")
+@example(name="split_fraction", value=1.5)
+@example(name="algorithms", value=[])
+@example(name="workers", value=3)
+def test_every_experiment_is_rejected_or_runs(name, value):
+    try:
+        config = ExperimentConfig(**{"algorithms": (RecommenderConfig("MP"), RecommenderConfig("CF_B")), name: value})
+        with pytest.MonkeyPatch.context() as patch:
+            # the stand-in starts no process, so any workers value is safe here
+            patch.setattr(evaluation, "ProcessPoolExecutor", in_process_pool({}))
+            patch.setattr(evaluation, "_WORKER_STATE", {})
+            report = run_experiment(TINY_SYNTH, config)
+    except ConfigError:
+        return
+    assert isinstance(config.algorithms, tuple)
+    for result in report.algorithms:
+        numbers = result.ndcg + result.map + result.recall + (result.diversity, result.coverage)
+        assert all(math.isfinite(x) for x in numbers), result
+    echo = report.config_echo
+    # the echo holds the settings the run applied, with the types they were applied as
+    assert type(echo["count_unserved"]) is bool and echo["count_unserved"] == config.count_unserved
+    assert type(echo["split_fraction"]) is float and echo["split_fraction"] == config.split_fraction
+    assert type(echo["seed"]) is int and echo["seed"] == config.seed
+    assert [a["algorithm"] for a in echo["algorithms"]] == [c.algorithm for c in config.algorithms]
+
+
 def test_report_writers_format(tmp_path):
     folksonomy, _ = _mini_split()
-    report = run_experiment(folksonomy, [RecommenderConfig("MP")])
+    report = run_experiment(folksonomy, ExperimentConfig([RecommenderConfig("MP")]))
     write_reports(report, str(tmp_path))
     csv_lines = (tmp_path / "metrics.csv").read_text().splitlines()
     assert csv_lines[0].startswith("# dataset_fingerprint=")

@@ -1,9 +1,11 @@
 """Chronological per-user hold-out split."""
 
+import math
 import random
 
 import pytest
 
+from folkrec.errors import ConfigError
 from folkrec.split import chronological_split, write_split
 
 from conftest import folksonomy_from_rows, random_folksonomy
@@ -108,8 +110,8 @@ def test_split_deterministic(small_folksonomy):
 
 
 def test_bad_fraction_rejected(small_folksonomy):
-    for fraction in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
+    for fraction in (0.0, 1.0, -0.2, 1.5, "0.2", math.nan, True):
+        with pytest.raises(ConfigError):
             chronological_split(small_folksonomy, fraction)
 
 
