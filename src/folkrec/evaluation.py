@@ -186,8 +186,7 @@ def evaluate_algorithm(
     count_unserved: bool = True,
 ) -> AlgorithmReport:
     """Run one algorithm over every test user and average the metric curves."""
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    _check_run_settings(workers, count_unserved)
     tasks = [(user, split.test[user]) for user in sorted(split.test)]
     if not tasks:
         raise EmptyDatasetError("split has no users with held-out items to evaluate")
@@ -211,6 +210,14 @@ def evaluate_algorithm(
             # map yields in task order, and the tasks are in user order
             results = list(pool.map(_worker_eval, tasks, chunksize=chunk))
     return _aggregate(config.algorithm, results, count_unserved)
+
+
+def _check_run_settings(workers: int, count_unserved: bool) -> None:
+    """The rules for the two settings both ``ExperimentConfig`` and ``evaluate_algorithm`` take."""
+    if not (is_integer(workers) and workers >= 1):
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+    if not isinstance(count_unserved, bool):
+        raise ConfigError(f"count_unserved must be true or false, got {count_unserved!r}")
 
 
 def _aggregate(tag: str, results: List[UserResult], count_unserved: bool) -> AlgorithmReport:
@@ -300,11 +307,13 @@ class ExperimentConfig:
             raise ConfigError(f"split_fraction must be a number in (0, 1), got {self.split_fraction!r}")
         if not is_integer(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not (is_integer(self.workers) and self.workers >= 1):
-            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
-        if not isinstance(self.count_unserved, bool):
-            raise ConfigError(f"count_unserved must be true or false, got {self.count_unserved!r}")
+        _check_run_settings(self.workers, self.count_unserved)
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        # the report records every setting, and json cannot write an int past Python's digit limit
+        try:
+            config_hash(_config_echo(self.algorithms, self.split_fraction, self.seed, self.count_unserved))
+        except ValueError as error:
+            raise ConfigError(f"the report cannot record these settings: {error}") from None
 
 
 def run_experiment(folksonomy: Folksonomy, experiment: ExperimentConfig) -> EvalReport:

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ConfigError, EmptyDatasetError, FormatError, is_integer, is_number
-from .model import Assignment, Folksonomy, Post, Vocab, _label_chunks, _snapshot_rows, build_folksonomy, group_posts
+from .model import Assignment, Folksonomy, Post, Vocab, _label_chunks, build_folksonomy, group_posts
 
 # Tags auto-generated by import tooling rather than chosen by a person.
 DEFAULT_BLACKLIST = ("bibtex-import",)
@@ -63,10 +63,7 @@ class DatasetSpec:
         blacklist = () if self.blacklist is None else self.blacklist
         if not (isinstance(blacklist, (list, tuple)) and all(isinstance(p, str) for p in blacklist)):
             raise ConfigError(f"blacklist must be a list of strings or null, got {blacklist!r}")
-        if not (is_number(self.sample_fraction) and 0.0 < self.sample_fraction <= 1.0):
-            raise ConfigError(f"sample_fraction must be a number in (0, 1], got {self.sample_fraction!r}")
-        if not is_integer(self.seed):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        _check_sample(self.sample_fraction, self.seed)
         object.__setattr__(self, "columns", tuple(self.columns))
         object.__setattr__(self, "blacklist", tuple(blacklist))
 
@@ -210,6 +207,14 @@ def filter_blacklisted_tags(
     return [row for row in assignments if row[2] not in banned]
 
 
+def _check_sample(fraction: float, seed: int) -> None:
+    """The rules for the user sample's settings, in ``DatasetSpec`` and in ``sample_users``."""
+    if not (is_number(fraction) and 0.0 < fraction <= 1.0):
+        raise ConfigError(f"sample_fraction must be a number in (0, 1], got {fraction!r}")
+    if not is_integer(seed):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+
+
 def _drawn_users(users: Iterable[int], fraction: float, seed: int) -> Optional[Set[int]]:
     """ceil(fraction * |U|) of the distinct ``users``, drawn uniformly without replacement.
 
@@ -217,8 +222,7 @@ def _drawn_users(users: Iterable[int], fraction: float, seed: int) -> Optional[S
     user set and the seed alone. None at fraction 1.0, where every user is
     kept and ``users`` is not read.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"sample fraction must be in (0, 1], got {fraction}")
+    _check_sample(fraction, seed)
     if fraction == 1.0:
         return None
     ordered = sorted(set(users))
@@ -280,7 +284,7 @@ def write_snapshot(folksonomy: Folksonomy, path: str | Path) -> None:
     downstream stages load it with :func:`load_snapshot`. The body is written
     piece by piece from the sorted rows, never joined whole.
     """
-    rows = _snapshot_rows(folksonomy)  # caches the fingerprint the header needs
+    rows = folksonomy.label_rows()  # caches the fingerprint the header needs
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_SNAPSHOT_HEADER)
         fh.write(f"{_FINGERPRINT_PREFIX}{folksonomy.fingerprint()}\n")

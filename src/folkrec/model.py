@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple
 from .errors import EmptyDatasetError
 
 # One tag assignment as interned ids: (user, item, tag, timestamp). Timestamps
-# are checked non-negative where rows enter: at parse and in SynthConfig.
+# are non-negative: parse checks them, and the generator's start at synth.START.
 Assignment = Tuple[int, int, int, int]
 
 # Label rows per piece when a snapshot body or its digest is streamed: few
@@ -191,6 +191,24 @@ class Folksonomy:
             assignments=sum(len(p.tag_times) for p in self.posts),
         )
 
+    def label_rows(self) -> List[str]:
+        """Sorted ``user\titem\ttag\tts`` label rows, one per distinct tag of each post.
+
+        The snapshot body; their digest is cached as the fingerprint if none
+        is yet, so a snapshot writer builds the rows once for both.
+        """
+        vocab = self.vocab
+        rows = []
+        for post in self.posts:
+            user = vocab.users.label_of(post.user)
+            item = vocab.items.label_of(post.item)
+            for tag, ts in post.tag_times:
+                rows.append(f"{user}\t{item}\t{vocab.tags.label_of(tag)}\t{ts}")
+        rows.sort()
+        if self._fingerprint is None:
+            self._fingerprint = _label_digest(rows)
+        return rows
+
     def fingerprint(self) -> str:
         """Stable content digest, independent of id assignment and input order.
 
@@ -198,7 +216,7 @@ class Folksonomy:
         data (even with rows shuffled, which permutes interned ids) agree.
         """
         if self._fingerprint is None:
-            self._fingerprint = _label_digest(_label_rows(self))
+            self.label_rows()
         return self._fingerprint
 
 
@@ -209,19 +227,6 @@ def _tag_counts(posts: Iterable[Post]) -> Dict[int, int]:
         for tag, _ in post.tag_times:
             counts[tag] = counts.get(tag, 0) + 1
     return counts
-
-
-def _label_rows(folksonomy: Folksonomy) -> List[str]:
-    """Sorted ``user\titem\ttag\tts`` label rows, one per distinct tag of each post."""
-    vocab = folksonomy.vocab
-    rows = []
-    for post in folksonomy.posts:
-        user = vocab.users.label_of(post.user)
-        item = vocab.items.label_of(post.item)
-        for tag, ts in post.tag_times:
-            rows.append(f"{user}\t{item}\t{vocab.tags.label_of(tag)}\t{ts}")
-    rows.sort()
-    return rows
 
 
 def _label_chunks(rows: Sequence[str]) -> Iterator[str]:
@@ -244,18 +249,6 @@ def _label_digest(rows: Sequence[str]) -> str:
         digest.update(chunk.encode("utf-8"))
         separator = b"\n"
     return digest.hexdigest()
-
-
-def _snapshot_rows(folksonomy: Folksonomy) -> List[str]:
-    """The sorted label rows, the snapshot body, with their digest cached as the fingerprint.
-
-    The fingerprint is taken from these rows if the folksonomy has none yet,
-    so a snapshot writer builds the rows once for both.
-    """
-    rows = _label_rows(folksonomy)
-    if folksonomy._fingerprint is None:
-        folksonomy._fingerprint = _label_digest(rows)
-    return rows
 
 
 def group_posts(assignments: Iterable[Assignment]) -> List[Post]:

@@ -108,9 +108,9 @@ class Recommender:
         raise NotImplementedError
 
     def recommend(self, user: int, n: int = K_MAX) -> RankedList:
-        """The user's top-n unseen items; n must be >= 1."""
-        if n < 1:
-            raise ConfigError(f"n must be >= 1, got {n}")
+        """The user's top-n unseen items; n must be an integer >= 1."""
+        if not (is_integer(n) and n >= 1):
+            raise ConfigError(f"n must be an integer >= 1, got {n!r}")
         return RankedList(user=user, entries=tuple(islice(self.ranking(user), n)))
 
 

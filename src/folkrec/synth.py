@@ -5,53 +5,46 @@ and switches to a second partway through their timeline, so the newest
 bookmarks (the ones a chronological split hides) carry tags the user was
 using most recently. That gives recency-aware rankers a real signal while
 keeping enough user overlap per topic for plain CF to beat popularity.
+
+``SynthConfig`` holds the sizes callers vary; the module constants below fix
+the timeline shape.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .model import Assignment, Folksonomy, Vocab, build_folksonomy
+
+POSTS_PER_USER = (12, 18)
+TAGS_PER_POST = (2, 4)
+NOISE = 0.1  # chance a chosen tag is replaced by a uniform random one
+SWITCH_FRACTION = 0.6  # share of a user's posts before the topic switch
+START = 1_500_000_000  # earliest timestamp; every other adds non-negative offsets
+STEP_SECONDS = 7 * 86400
 
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """The size of a generated folksonomy; every field is checked when built."""
+
     users: int = 200
     items: int = 300
     tags: int = 100
     topics: int = 20
-    posts_per_user: Tuple[int, int] = (12, 18)
-    tags_per_post: Tuple[int, int] = (2, 4)
-    noise: float = 0.1  # chance a chosen tag is replaced by a uniform random one
-    switch_fraction: float = 0.6  # share of a user's posts before the topic switch
-    start: int = 1_500_000_000
-    step_seconds: int = 7 * 86400
 
     def __post_init__(self) -> None:
-        if self.topics < 2:
-            raise ConfigError(f"need at least 2 topics, got {self.topics}")
-        if self.items < self.topics or self.tags < self.topics:
-            raise ConfigError("each topic needs at least one item and one tag")
-        if self.users < 1:
-            raise ConfigError(f"need at least one user, got {self.users}")
-        lo, hi = self.posts_per_user
-        if not 1 <= lo <= hi:
-            raise ConfigError(f"bad posts_per_user range {self.posts_per_user}")
-        lo, hi = self.tags_per_post
-        if not 1 <= lo <= hi:
-            raise ConfigError(f"bad tags_per_post range {self.tags_per_post}")
-        if not 0.0 <= self.noise <= 1.0:
-            raise ConfigError(f"noise must be in [0, 1], got {self.noise}")
-        if not 0.0 < self.switch_fraction < 1.0:
-            raise ConfigError(f"switch_fraction must be in (0, 1), got {self.switch_fraction}")
-        if self.step_seconds < 1:
-            raise ConfigError(f"step_seconds must be >= 1, got {self.step_seconds}")
-        # every generated timestamp is start plus non-negative offsets
-        if self.start < 0:
-            raise ConfigError(f"start must be >= 0, got {self.start}")
+        if not (is_integer(self.topics) and self.topics >= 2):
+            raise ConfigError(f"topics must be an integer >= 2, got {self.topics!r}")
+        if not (is_integer(self.users) and self.users >= 1):
+            raise ConfigError(f"users must be an integer >= 1, got {self.users!r}")
+        # each topic needs at least one item and one tag
+        for name, value in (("items", self.items), ("tags", self.tags)):
+            if not (is_integer(value) and value >= self.topics):
+                raise ConfigError(f"{name} must be an integer >= topics ({self.topics}), got {value!r}")
 
 
 def _partition(count: int, topics: int) -> List[List[int]]:
@@ -80,24 +73,22 @@ def generate(config: SynthConfig, seed: int) -> Folksonomy:
     assignments: List[Assignment] = []
     for user in user_ids:
         early_topic, late_topic = rng.sample(range(config.topics), 2)
-        n_posts = rng.randint(*config.posts_per_user)
-        n_early = max(1, min(n_posts - 1, round(config.switch_fraction * n_posts)))
+        n_posts = rng.randint(*POSTS_PER_USER)
+        n_early = max(1, min(n_posts - 1, round(SWITCH_FRACTION * n_posts)))
         plan = [early_topic] * n_early + [late_topic] * (n_posts - n_early)
         picked = {
             early_topic: rng.sample(item_topics[early_topic], min(n_early, len(item_topics[early_topic]))),
             late_topic: rng.sample(item_topics[late_topic], min(n_posts - n_early, len(item_topics[late_topic]))),
         }
-        offset = rng.randrange(config.step_seconds)
+        offset = rng.randrange(STEP_SECONDS)
         for position, topic in enumerate(plan):
             if not picked[topic]:
                 continue
             item = item_ids[picked[topic].pop()]
-            ts = config.start + offset + position * config.step_seconds + rng.randrange(config.step_seconds // 2 + 1)
-            n_tags = min(rng.randint(*config.tags_per_post), len(tag_topics[topic]))
-            chosen = rng.sample(tag_topics[topic], n_tags)
-            for raw_tag in chosen:
-                tag = raw_tag
-                if rng.random() < config.noise:
+            ts = START + offset + position * STEP_SECONDS + rng.randrange(STEP_SECONDS // 2 + 1)
+            n_tags = min(rng.randint(*TAGS_PER_POST), len(tag_topics[topic]))
+            for tag in rng.sample(tag_topics[topic], n_tags):
+                if rng.random() < NOISE:
                     tag = rng.randrange(config.tags)
                 assignments.append((user, item, tag_ids[tag], ts))
     return build_folksonomy(assignments, vocab)

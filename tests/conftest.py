@@ -77,7 +77,7 @@ ANY_SETTING = st.one_of(
 )
 
 TINY_SPLIT = chronological_split(random_folksonomy(7), 0.2)
-TINY_SYNTH = generate(SynthConfig(users=30, items=40, tags=20, topics=4, posts_per_user=(5, 8)), seed=0)
+TINY_SYNTH = generate(SynthConfig(users=30, items=40, tags=20, topics=4), seed=0)
 
 
 def assert_config_serves(split: SplitResult, config: RecommenderConfig) -> None:

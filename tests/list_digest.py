@@ -1,4 +1,4 @@
-"""Print one sha256 over every recommended list, and one over ingest's output.
+"""Print one sha256 over every recommended list, one over ingest's output, and one over the generator's.
 
 A check that an optimization left every output bit-identical: run it before
 and after the change and compare the digests. It imports the ``folkrec``
@@ -21,7 +21,13 @@ sample fractions 0.5 and 1.0; the malformed-row line numbers and reasons,
 the ``write_snapshot`` bytes, and the fingerprint and stats line of the
 snapshot reloaded with ``load_snapshot`` go into the digest. Two users no
 post holds, one with only blacklisted tags and one with only malformed
-rows, pin that the user sample is drawn over the users with a kept row.
+rows, pin that the user sample is drawn over the users with a kept row;
+their rows carry the generator's earliest timestamp, ``synth.START``.
+
+``synth``: the fingerprint and stats line of ``generate()`` for
+``SynthConfig()`` with seeds 1 and 2, and for the benchmark's largest shape
+(2,000 users, 1,500 items, 500 tags, 50 topics) with seed 1, go into the
+digest, so the generator's output is pinned at benchmark size too.
 """
 
 from __future__ import annotations
@@ -39,11 +45,12 @@ from folkrec.ingest import DatasetSpec, load_snapshot, run_pipeline, write_snaps
 from folkrec.recommenders import ALGORITHMS, K_MAX, RecommenderConfig, build_recommender
 from folkrec.similarity import item_tag_vectors
 from folkrec.split import chronological_split
-from folkrec.synth import SynthConfig, generate
+from folkrec.synth import START, SynthConfig, generate
 
 SEEDS = (1, 2)
 SAMPLE_FRACTIONS = (0.5, 1.0)
 BLACKLIST = ("bibtex-import", "imported*")
+SYNTH_RUNS = ((SynthConfig(), SEEDS), (SynthConfig(users=2000, items=1500, tags=500, topics=50), (1,)))
 
 
 def list_digest() -> str:
@@ -96,7 +103,7 @@ def hazardous_dump(seed: int, shuffled: bool) -> str:
     # users no post holds: one tags only blacklisted tags, one writes only malformed rows
     for item_id in range(5):
         item = vocab.items.label_of(item_id)
-        lines.append(f"import-bot\t{item}\tbibtex-import\t{SynthConfig().start}\n")
+        lines.append(f"import-bot\t{item}\tbibtex-import\t{START}\n")
         lines.append(f"broken-user\t{item}\tweb\tsoon\n")
     if shuffled:
         rng.shuffle(lines)
@@ -123,6 +130,17 @@ def ingest_digest() -> str:
     return digest.hexdigest()
 
 
+def synth_digest() -> str:
+    digest = hashlib.sha256()
+    for config, seeds in SYNTH_RUNS:
+        for seed in seeds:
+            folksonomy = generate(config, seed)
+            shape = f"{config.users} {config.items} {config.tags} {config.topics}"
+            digest.update(f"{shape} {seed} {folksonomy.fingerprint()} {folksonomy.stats().line()}\n".encode("ascii"))
+    return digest.hexdigest()
+
+
 if __name__ == "__main__":
     print("lists", list_digest())
     print("ingest", ingest_digest())
+    print("synth", synth_digest())

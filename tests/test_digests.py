@@ -1,11 +1,12 @@
-"""The two output digests of ``list_digest.py``, pinned.
+"""The three output digests of ``list_digest.py``, pinned.
 
-Every recommended list with its scores and diversity, and every byte ingest
-writes, go into these two values, so a change that alters any output fails
-here and must re-pin them on purpose.
+Every recommended list with its scores and diversity, every byte ingest
+writes, and the generator's output up to benchmark size go into these three
+values, so a change that alters any output fails here and must re-pin them
+on purpose.
 """
 
-from list_digest import ingest_digest, list_digest
+from list_digest import ingest_digest, list_digest, synth_digest
 
 
 def test_list_digest_is_pinned():
@@ -14,3 +15,7 @@ def test_list_digest_is_pinned():
 
 def test_ingest_digest_is_pinned():
     assert ingest_digest() == "7e3e76f98ea2842e62bf4b698ac36e550e943053c27532b25f5d4d30aabc4278"
+
+
+def test_synth_digest_is_pinned():
+    assert synth_digest() == "87104fe1da3fa50b5fa972718a0f35265f8434871b1bad8d3a7a5ceec57fc3fa"

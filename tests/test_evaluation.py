@@ -283,6 +283,22 @@ def test_duplicate_algorithms_rejected():
         run_experiment(folksonomy, ExperimentConfig([]))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"workers": "2"},
+        {"workers": 2.5},
+        {"workers": True},
+        {"count_unserved": "no"},  # ran as if true
+        {"count_unserved": 0},
+    ],
+)
+def test_bad_evaluate_algorithm_argument_is_config_error(kwargs):
+    _, split = _mini_split()
+    with pytest.raises(ConfigError):
+        evaluate_algorithm(split, RecommenderConfig("MP"), **kwargs)
+
+
 def test_evaluation_is_deterministic():
     _, split = _mini_split()
     a = evaluate_algorithm(split, RecommenderConfig("CIRTT"))
@@ -397,6 +413,7 @@ def test_config_hash_tracks_settings_not_plumbing():
 @example(name="split_fraction", value=1.5)
 @example(name="algorithms", value=[])
 @example(name="workers", value=3)
+@example(name="seed", value=10**5000)
 def test_every_experiment_is_rejected_or_runs(name, value):
     try:
         config = ExperimentConfig(**{"algorithms": (RecommenderConfig("MP"), RecommenderConfig("CF_B")), name: value})

@@ -302,6 +302,16 @@ def test_sampling_deterministic_per_seed():
     assert fingerprint(a) != fingerprint(c)  # overwhelmingly likely for this fixture
 
 
+@pytest.mark.parametrize(
+    "fraction, seed",
+    [("0.5", 1), (True, 1), (0.5, "1"), (0.5, 1.5), (0.5, None)],
+    ids=["str-fraction", "bool-fraction", "str-seed", "float-seed", "none-seed"],
+)
+def test_bad_sample_users_argument_is_config_error(small_folksonomy, fraction, seed):
+    with pytest.raises(ConfigError):
+        sample_users(small_folksonomy, fraction, seed)
+
+
 def test_unique_resource_removal_single_pass():
     f = folksonomy_from_rows(
         [
@@ -392,13 +402,13 @@ def test_snapshot_round_trip(tmp_path, small_folksonomy):
 
 def _count_label_row_builds(monkeypatch):
     calls = []
-    original = model._label_rows
+    original = Folksonomy.label_rows
 
     def counting(folksonomy):
         calls.append(folksonomy)
         return original(folksonomy)
 
-    monkeypatch.setattr(model, "_label_rows", counting)
+    monkeypatch.setattr(Folksonomy, "label_rows", counting)
     return calls
 
 
@@ -466,7 +476,7 @@ def test_load_snapshot_caches_the_checked_fingerprint(tmp_path, monkeypatch, sma
 def test_snapshot_text_streams_across_chunk_boundaries(tmp_path, monkeypatch, n_rows):
     monkeypatch.setattr(model, "_CHUNK_ROWS", 3)
     rows = [(f"u{i % 2}", f"r{i}", "web", 100 + i) for i in range(n_rows)]
-    label_rows = model._label_rows(folksonomy_from_rows(rows))
+    label_rows = folksonomy_from_rows(rows).label_rows()
     assert len(label_rows) == n_rows
     text = "\n".join(label_rows)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -387,13 +387,15 @@ N_FOLKSONOMY = random_folksonomy(4)
 @settings(max_examples=60, deadline=None)
 @given(
     tag=st.sampled_from(ALGORITHMS),
-    n=st.one_of(st.none(), st.integers(min_value=-3, max_value=60)),
+    n=st.one_of(st.none(), st.integers(min_value=-3, max_value=60), st.sampled_from((2.5, 3.0, True, False, "3"))),
 )
+@example(tag="MP", n=2.5)  # islice raised a raw ValueError
+@example(tag="CF_B", n=True)  # served a list of one item
 def test_list_length_is_n_or_k_max(tag, n):
     f = N_FOLKSONOMY
     recommender = build_recommender(f, reference_times(f), RecommenderConfig(tag))
     for user in f.users()[:5] + [10_000]:
-        if n is not None and n < 1:
+        if n is not None and (type(n) is not int or n < 1):
             with pytest.raises(ConfigError):
                 recommender.recommend(user, n)
             continue
