@@ -138,7 +138,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     config = _load_args(args)
     if config.dataset is None:
         raise ConfigError("ingest needs a 'dataset' section in the config")
-    folksonomy = _load_folksonomy(config)
+    # ingest reads the dataset even when a snapshot is configured: it is what writes snapshots
+    folksonomy = _load_folksonomy(replace(config, snapshot=None))
     print(folksonomy.stats().line())
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "snapshot.tsv")

@@ -108,10 +108,11 @@ class Recommender:
         raise NotImplementedError
 
     def recommend(self, user: int, n: int = K_MAX) -> RankedList:
-        """The user's top-n unseen items; n must be an integer >= 1."""
+        """The user's top-n unseen items, all of them when n is longer; n must be an integer >= 1."""
         if not (is_integer(n) and n >= 1):
             raise ConfigError(f"n must be an integer >= 1, got {n!r}")
-        return RankedList(user=user, entries=tuple(islice(self.ranking(user), n)))
+        # islice takes no stop above sys.maxsize, and no ranking is that long
+        return RankedList(user=user, entries=tuple(islice(self.ranking(user), min(n, sys.maxsize))))
 
 
 class MostPopular(Recommender):

@@ -2,19 +2,19 @@
 
 All user profiles (binary item rows, tag-frequency profiles, time-weighted
 variants) are non-negative sparse vectors, so every cosine lands in [0, 1].
-Both cosine steps of the two-step algorithms go through one inverted index,
-``Postings``: ``UserIndex`` finds a user's neighbors with it (only users
-co-occurring with the target on at least one dimension are touched, which is
-also exactly the set with nonzero similarity), and ``summed_item_cosines``
-scores a user's candidates against the user's own items with it. The
-brute-force all-pairs scan lives in the test suite as the oracle.
+Both cosine steps of the two-step algorithms take their cosines from one
+inverted index, ``Postings.cosines``: ``UserIndex`` finds a user's neighbors
+with it (only users sharing a dimension with the target are touched, exactly
+the set with nonzero similarity), and ``summed_item_cosines`` scores a user's
+candidates against the user's own items with it. The brute-force all-pairs
+scan lives in the test suite as the oracle.
 
 Every dot product is rounded once: integer weights give exact integer sums,
 any other weights are summed with math.fsum, so results do not depend on the
 order contributions happen to arrive in. Each training folksonomy's item
 vectors (binary tagger columns and tag-count vectors) are built once and
 shared by every consumer. ``overlapping_pair_cosines`` scores every pair
-within one ranked list (evaluation's diversity) in its own single pass.
+within one ranked list (evaluation's diversity) in its own fused pass.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class SparseVector:
 
 
 class Postings:
-    """Inverted index over a fixed set of (id, vector) pairs: dot products with a query.
+    """Inverted index over a fixed set of (id, vector) pairs: dots and cosines with a query.
 
     ``norms`` maps every indexed id to its vector's norm. Whether the
     integer shortcut applies to the indexed side is decided once, here.
@@ -116,6 +116,18 @@ class Postings:
                 terms.setdefault(ident, []).append(w * iw)
         return {ident: math.fsum(products) for ident, products in terms.items()}
 
+    def cosines(self, query: SparseVector) -> Dict[int, float]:
+        """{id: cosine with query} for the ids ``dots`` returns: each dot over both norms, clamped at 1.
+
+        No product is negative, so neither is a cosine. Both sides must have a nonzero norm.
+        """
+        norm, norms = query.norm, self.norms
+        cosines = self.dots(query)  # a fresh dict: each dot is replaced by its cosine
+        for ident, dot in cosines.items():
+            c = dot / (norm * norms[ident])
+            cosines[ident] = c if c < 1.0 else 1.0
+        return cosines
+
 
 # A folksonomy never changes after construction, so its item vectors are a
 # pure function of it. They are memoised per folksonomy object and kind,
@@ -153,24 +165,12 @@ def summed_item_cosines(
 ) -> Dict[int, float]:
     """Per candidate, math.fsum of its cosines to every (distinct) owned item.
 
-    A cosine is the candidate's dot with the owned item (``Postings.dots``)
-    over the product of their norms, clamped at 1 (no product is negative,
-    so neither is the cosine); an owned item
-    sharing no dimension with the candidate adds an exact 0.0 and is
-    skipped. One index over the owned items serves every candidate.
+    Each cosine comes from ``Postings.cosines`` over one index of the owned
+    items, which serves every candidate; an owned item sharing no dimension
+    with the candidate adds an exact 0.0 and is skipped.
     """
     index = Postings((j, vectors[j]) for j in owned)
-    norms = index.norms
-    sums: Dict[int, float] = {}
-    for item in candidates:
-        vec = vectors[item]
-        norm = vec.norm
-        cosines = []
-        for j, dot in index.dots(vec).items():
-            c = dot / (norm * norms[j])
-            cosines.append(c if c < 1.0 else 1.0)
-        sums[item] = math.fsum(cosines)
-    return sums
+    return {item: math.fsum(index.cosines(vectors[item]).values()) for item in candidates}
 
 
 def overlapping_pair_cosines(vectors: Sequence[Optional[SparseVector]]) -> List[float]:
@@ -184,12 +184,12 @@ def overlapping_pair_cosines(vectors: Sequence[Optional[SparseVector]]) -> List[
     every dot below 2**53: each product and each partial dot is then an
     exact integer in a float, so the plain accumulation below is the exact
     dot. A cosine is that dot over the product of the two norms, clamped to
-    [0, 1], as in ``summed_item_cosines``.
+    [0, 1], as ``Postings.cosines`` computes it.
 
     One inverted index over the list's dimensions serves every pair: each
     position meets only the earlier positions it shares a dimension with.
-    Querying and inserting happen in one pass, which is why this does not
-    go through ``Postings``.
+    Querying and inserting happen in one fused pass, which is why this does
+    not go through ``Postings``.
     """
     postings: Dict[int, List[Tuple[int, float]]] = {}
     norms: List[float] = []
@@ -229,8 +229,8 @@ class UserIndex:
     """
 
     def __init__(self, vectors: Mapping[int, SparseVector]) -> None:
-        self._vectors: Dict[int, SparseVector] = dict(vectors)
-        self._postings = Postings((user, vec) for user, vec in self._vectors.items() if vec.norm)
+        self._vectors: Dict[int, SparseVector] = {user: vec for user, vec in vectors.items() if vec.norm}
+        self._postings = Postings(self._vectors.items())
 
     def top_k(self, user: int, k: int) -> Tuple[Tuple[int, float], ...]:
         """The k most cosine-similar users as (user, similarity) pairs.
@@ -245,17 +245,14 @@ class UserIndex:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         vec = self._vectors.get(user)
-        if vec is None or not vec.norm:
+        if vec is None:
             raise NoProfileError(f"user {user} has no profile to search neighbors for")
-        norm = vec.norm
-        norms = self._postings.norms
-        scored = []
-        for other, dot in self._postings.dots(vec).items():
-            sim = dot / (norm * norms[other])
-            sim = sim if sim < 1.0 else 1.0
-            if sim > 0.0 and other != user:
-                scored.append((other, sim))
-        return tuple(best_first(scored, k))
+        cosines = self._postings.cosines(vec)
+        del cosines[user]
+        # the target shares its own dimensions, so it is always a key; a zero
+        # similarity sorts after every positive one, so dropping zeros after
+        # the cut keeps the same pairs in the same order
+        return tuple(pair for pair in best_first(cosines.items(), k) if pair[1] > 0.0)
 
 
 def build_user_vectors(train: Folksonomy, profile_kind: str) -> Dict[int, SparseVector]:

@@ -70,6 +70,32 @@ def test_ingest_reports_malformed_lines(workdir, capsys):
     assert "malformed line 62" in err
 
 
+def test_ingest_reads_the_dataset_when_a_snapshot_is_also_configured(workdir, capsys):
+    # other.tsv is a snapshot of mini.tsv's first 20 rows; ingest used to
+    # re-snapshot it and ignore the dataset, malformed line included
+    rows = (workdir / "mini.tsv").read_text().splitlines(keepends=True)
+    (workdir / "head.tsv").write_text("".join(rows[:20]))
+    (workdir / "head.yaml").write_text("dataset: {path: head.tsv}\nout_dir: head\n")
+    assert run_cli("ingest", "--config", workdir / "head.yaml") == EXIT_OK
+    shutil.copy(workdir / "head" / "snapshot.tsv", workdir / "other.tsv")
+    assert run_cli("ingest", "--config", workdir / "mini_config.yaml", "--out", workdir / "alone") == EXIT_OK
+    with open(workdir / "mini.tsv", "a") as fh:
+        fh.write("half\tbaked\n")
+    both = workdir / "both.yaml"
+    both.write_text("dataset: {path: mini.tsv}\nsnapshot: other.tsv\nout_dir: both\n")
+    capsys.readouterr()
+    assert run_cli("ingest", "--config", both) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "B=38 U=12 R=9 T=15 TAS=61"
+    assert "malformed line 62" in captured.err
+    assert (workdir / "both" / "snapshot.tsv").read_bytes() == (workdir / "alone" / "snapshot.tsv").read_bytes()
+    # split still prefers the snapshot
+    (workdir / "snap.yaml").write_text("snapshot: other.tsv\nout_dir: snap\n")
+    assert run_cli("split", "--config", workdir / "snap.yaml") == EXIT_OK
+    assert run_cli("split", "--config", both) == EXIT_OK
+    assert (workdir / "both" / "train.tsv").read_bytes() == (workdir / "snap" / "train.tsv").read_bytes()
+
+
 @pytest.mark.parametrize("source", ["dump", "snapshot"])
 def test_non_utf8_input_is_data_error(workdir, capsys, source):
     config = workdir / "mini_config.yaml"
@@ -435,6 +461,16 @@ def test_recommend_nonpositive_n_is_config_error(workdir, capsys, n):
     code = run_cli("recommend", "--config", workdir / "mini_config.yaml", "--user", "u01", "--n", n)
     assert code == EXIT_CONFIG
     assert capsys.readouterr().out == ""
+
+
+def test_recommend_n_above_maxsize_serves_the_whole_ranking(workdir, capsys):
+    # islice rejects a stop above sys.maxsize, so 2**63 used to end in a traceback
+    config = workdir / "mini_config.yaml"
+    assert run_cli("recommend", "--config", config, "--user", "u01", "--n", 9223372036854775807) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert run_cli("recommend", "--config", config, "--user", "u01", "--n", 9223372036854775808) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert len(expected.splitlines()) > 0
 
 
 def test_version_flag(capsys):

@@ -9,7 +9,7 @@ import tempfile
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from folkrec import ingest, model
@@ -778,6 +778,14 @@ _TIMESTAMPS = {
 _FEW_LABELS = st.tuples(st.sampled_from(range(24)), _PAD, st.sampled_from(["a", "É"]), _PAD).map(lambda t: _label(*t))
 
 
+# The properties over _dumps report a falsifying dump as drawn, unshrunk.
+# Under pytest each failing example is rendered as a traceback, which parses
+# this whole file (about 30 ms), and shrinking a multi-line dump ran a
+# failing property for up to five minutes; without it a failure is reported
+# within seconds, and the dump has at most 25 lines.
+_UNSHRUNK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
 @st.composite
 def _dumps(draw, labels=_LABEL):
     fmt = draw(st.sampled_from(["epoch", "iso8601"]))
@@ -809,7 +817,7 @@ def _dumps(draw, labels=_LABEL):
 
 
 @given(_dumps())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, phases=_UNSHRUNK)
 def test_parse_equals_a_plain_reference_parser(dump):
     layout, text = dump
     with tempfile.TemporaryDirectory() as tmp:
@@ -839,7 +847,7 @@ def _reloaded(folksonomy, tmp):
 
 
 @given(_dumps(_FEW_LABELS))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, phases=_UNSHRUNK)
 def test_every_ingested_dump_reloads_from_its_snapshot(dump):
     layout, text = dump
     with tempfile.TemporaryDirectory() as tmp:

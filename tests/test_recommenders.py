@@ -387,9 +387,15 @@ N_FOLKSONOMY = random_folksonomy(4)
 @settings(max_examples=60, deadline=None)
 @given(
     tag=st.sampled_from(ALGORITHMS),
-    n=st.one_of(st.none(), st.integers(min_value=-3, max_value=60), st.sampled_from((2.5, 3.0, True, False, "3"))),
+    n=st.one_of(
+        st.none(),
+        st.integers(min_value=-3, max_value=60),
+        st.sampled_from((2**63 - 1, 2**63, 10**30)),
+        st.sampled_from((2.5, 3.0, True, False, "3")),
+    ),
 )
 @example(tag="MP", n=2.5)  # islice raised a raw ValueError
+@example(tag="CIRTT", n=2**63)  # islice takes no stop above sys.maxsize
 @example(tag="CF_B", n=True)  # served a list of one item
 def test_list_length_is_n_or_k_max(tag, n):
     f = N_FOLKSONOMY

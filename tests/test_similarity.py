@@ -284,6 +284,17 @@ def test_dot_equals_binary_search_reference(indexed, query):
         assert dot == binary_search_dot(vectors[j], q)
 
 
+@given(st.lists(st.one_of(integer_vectors, finite_weights), max_size=8), st.one_of(integer_vectors, finite_weights))
+def test_cosines_equal_reference_cosine(indexed, query):
+    # the query is indexed too, so a self-cosine that rounds above 1 meets the clamp
+    vectors = [SparseVector(w) for w in indexed + [query]]
+    q = SparseVector(query)
+    cosines = Postings(enumerate(vectors)).cosines(q)
+    assert sorted(cosines) == [j for j, v in enumerate(vectors) if set(v.ids) & set(q.ids)]
+    for j, cosine in cosines.items():
+        assert cosine == ref_cosine(q, vectors[j])
+
+
 def test_postings_norms_and_integer_path():
     a, b = SparseVector({1: 3.0, 2: 4.0}), SparseVector({2: 2.0, 7: 1.0})
     index = Postings([(10, a), (20, b)])
@@ -324,11 +335,21 @@ def sort_everything_top_k(vectors, user, k):
     return tuple(sorted(((o, s) for o, s in sims if s > 0.0), key=lambda e: (-e[1], e[0]))[:k])
 
 
+# weights of 1e-170 square to 0.0: alone they make a zero-norm profile, and a
+# neighbour sharing only such dimensions with the target has a dot, and so a
+# similarity, of 0.0
+underflowing_weights = st.dictionaries(st.integers(min_value=0, max_value=12), st.just(1e-170), min_size=1, max_size=4)
+
+
 @st.composite
 def user_profiles(draw):
-    """Integer or float profiles; users draw from a small pool, so equal vectors (ties) are common."""
+    """Integer or float profiles; users draw from a small pool, so equal vectors (ties) are common.
+
+    A pool entry may also carry underflowing weights on some dimensions.
+    """
     weights = draw(st.sampled_from([integer_vectors, finite_weights]))
-    pool = draw(st.lists(weights, min_size=1, max_size=4))
+    entry = st.one_of(weights, st.tuples(weights, underflowing_weights).map(lambda p: {**p[0], **p[1]}))
+    pool = draw(st.lists(entry, min_size=1, max_size=4))
     rows = draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=12))
     return {user: SparseVector(pool[p]) for user, p in enumerate(rows)}
 
@@ -337,7 +358,7 @@ def user_profiles(draw):
 def test_top_k_equals_sort_everything_reference(vectors, k, data):
     user = data.draw(st.sampled_from(sorted(vectors)))
     index = UserIndex(vectors)
-    if not vectors[user].ids:
+    if not vectors[user].norm:
         with pytest.raises(NoProfileError):
             index.top_k(user, k)
         return
