@@ -215,9 +215,10 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         raise ConfigError(f"n must be >= 1, got {args.n}")
     folksonomy = _load_folksonomy(config)
     vocab = folksonomy.vocab
-    if args.user not in vocab.users:
+    user = vocab.users.lookup()(args.user)
+    # the vocabulary keeps the labels of users preprocessing dropped; they hold no post
+    if user is None or not folksonomy.posts_of_user(user):
         raise ConfigError(f"unknown user label {args.user!r}")
-    user = vocab.users.id_of(args.user)
     # production mode trains on everything, so t_ref comes from the whole folksonomy
     recommender = build_recommender(folksonomy, reference_times(folksonomy), algo_config)
     ranked = recommender.recommend(user, args.n)

@@ -65,9 +65,6 @@ class Interner:
     def __len__(self) -> int:
         return len(self._labels)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._by_label
-
 
 @dataclass
 class Vocab:
@@ -81,10 +78,11 @@ class Vocab:
 class Post(NamedTuple):
     """All tag assignments of one user on one item, treated as one bookmark.
 
-    ``tag_times`` holds one (tag, timestamp) entry per distinct tag, sorted by
-    tag id; duplicates were resolved to the earliest use. The post timestamp
-    is the earliest assignment time (the bookmark's creation). An immutable
-    named tuple: it unpacks and compares like a plain tuple.
+    The post contract, kept by every route into a ``Folksonomy``: ``tag_times``
+    holds at least one (tag, timestamp) entry, one per distinct tag with its
+    earliest use, tag ids ascending. ``timestamp`` is the earliest of those
+    times (the bookmark's creation). An immutable named tuple: it unpacks and
+    compares like a plain tuple.
     """
 
     user: int
@@ -117,12 +115,12 @@ class Stats:
 class Folksonomy:
     """Immutable store of posts, indexed by user and by item.
 
-    ``posts`` must hold at most one post per (user, item) and be sorted by
-    (user, item), as :func:`build_folksonomy` leaves them; the per-user and
-    per-item accessors rely on that order, and so do the filters that keep a
-    subset of another folksonomy's posts. Tag statistics (counts, use times,
-    the number of distinct tags) are not stored: each accessor derives them from the posts
-    when called. Safe for concurrent reads; never mutated after construction.
+    ``posts`` keep the :class:`Post` contract, so every user listed has a tag
+    use; they hold at most one post per (user, item), sorted by (user, item)
+    as :func:`build_folksonomy` leaves them, which the accessors and the
+    filters that keep a subset of another folksonomy's posts rely on. Tag
+    statistics (counts, use times, the number of distinct tags) are derived
+    from the posts when read. Safe for concurrent reads; never mutated.
     """
 
     def __init__(self, posts: Sequence[Post], vocab: Vocab) -> None:
@@ -191,20 +189,25 @@ class Folksonomy:
             assignments=sum(len(p.tag_times) for p in self.posts),
         )
 
-    def label_rows(self) -> List[str]:
-        """Sorted ``user\titem\ttag\tts`` label rows, one per distinct tag of each post.
+    def rows(self) -> Iterator[str]:
+        """``user\titem\ttag\tts`` label rows in post order, one per tag use of each post.
 
-        The snapshot body; their digest is cached as the fingerprint if none
-        is yet, so a snapshot writer builds the rows once for both.
+        The one spelling of a row: the plain dump format ingest reads, and,
+        sorted, the snapshot body.
         """
-        vocab = self.vocab
-        rows = []
+        user_of, item_of, tag_of = self.vocab.users.label_of, self.vocab.items.label_of, self.vocab.tags.label_of
         for post in self.posts:
-            user = vocab.users.label_of(post.user)
-            item = vocab.items.label_of(post.item)
+            user, item = user_of(post.user), item_of(post.item)
             for tag, ts in post.tag_times:
-                rows.append(f"{user}\t{item}\t{vocab.tags.label_of(tag)}\t{ts}")
-        rows.sort()
+                yield f"{user}\t{item}\t{tag_of(tag)}\t{ts}"
+
+    def label_rows(self) -> List[str]:
+        """The :meth:`rows`, sorted: the snapshot body.
+
+        Their digest is cached as the fingerprint if none is yet, so a
+        snapshot writer builds the rows once for both.
+        """
+        rows = sorted(self.rows())
         if self._fingerprint is None:
             self._fingerprint = _label_digest(rows)
         return rows

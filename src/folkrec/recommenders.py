@@ -7,6 +7,10 @@ shared mutable state, so batch recommendation parallelizes freely. Each
 algorithm supplies only its ranking of the user's unseen items; the base
 class cuts it to the requested length.
 
+The ``t_ref`` a recommender receives covers every training user, as
+``split.reference_times`` builds it (a missing user raises ``KeyError``), and
+every training user has a tag use (the ``model.Post`` contract).
+
 Algorithm tags:
 
 * ``MP``      most popular items by global bookmark count
@@ -217,10 +221,7 @@ class Cirtt(_NeighborhoodRecommender):
         _, contrib = self.candidates(user)
         if not contrib:
             return ()
-        try:
-            profile = build_bll_profile(self.train, user, self.t_ref[user], self.config.bll)
-        except (NoProfileError, KeyError):
-            return ()
+        profile = build_bll_profile(self.train, user, self.t_ref[user], self.config.bll)
         sims = summed_item_cosines(self.item_vectors, self.train.items_of_user(user), contrib)
         tags = self.tag_vectors
         scored = sorted([(-(sim * bll_item(profile, tags[item].ids)), -sim, item) for item, sim in sims.items()])
@@ -281,8 +282,6 @@ class LinearDecayTagCF(_NeighborhoodRecommender):
     @staticmethod
     def _weighted_tag_profile(train: Folksonomy, user: int, reference: int, floor: float) -> Dict[int, float]:
         uses = train.tag_use_times(user)
-        if not uses:
-            return {}
         earliest = min(ts for times in uses.values() for ts in times)
         latest = reference - 1
         span = latest - earliest

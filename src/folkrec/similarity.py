@@ -24,7 +24,7 @@ import weakref
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import NoProfileError
+from .errors import NoProfileError, is_integer
 from .model import Folksonomy
 
 BINARY_ITEM = "binary-item"
@@ -240,10 +240,10 @@ class UserIndex:
 
         Raises NoProfileError when the target has no vector or one of norm
         0.0; callers typically skip such users, which feeds the coverage
-        metric.
+        metric. A k that is not an integer >= 1 raises ValueError.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        if not (is_integer(k) and k >= 1):
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
         vec = self._vectors.get(user)
         if vec is None:
             raise NoProfileError(f"user {user} has no profile to search neighbors for")

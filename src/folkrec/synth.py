@@ -95,11 +95,6 @@ def generate(config: SynthConfig, seed: int) -> Folksonomy:
 
 
 def write_tsv(folksonomy: Folksonomy, path: str) -> None:
-    """Dump as the plain 4-column input format the ingest pipeline reads."""
-    vocab = folksonomy.vocab
+    """Dump as the plain 4-column input format the ingest pipeline reads, in post order."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for post in folksonomy.posts:
-            user = vocab.users.label_of(post.user)
-            item = vocab.items.label_of(post.item)
-            for tag, ts in post.tag_times:
-                handle.write(f"{user}\t{item}\t{vocab.tags.label_of(tag)}\t{ts}\n")
+        handle.writelines(f"{row}\n" for row in folksonomy.rows())

@@ -7,6 +7,7 @@ import random
 from typing import Iterable, List, Tuple
 
 import pytest
+from hypothesis import Phase
 from hypothesis import strategies as st
 
 from folkrec.model import Folksonomy, Vocab, build_folksonomy
@@ -75,6 +76,13 @@ ANY_SETTING = st.one_of(
     st.lists(st.one_of(st.integers(min_value=-1, max_value=5), st.floats(), st.text(max_size=3)), max_size=5),
     st.lists(st.integers(min_value=-1, max_value=5), min_size=4, max_size=4).map(tuple),
 )
+
+# The phases of a property that reports a falsifying example as drawn: no
+# shrinking and no explain phase. Under pytest hypothesis renders every
+# failing example it tries as a traceback, which parses the whole test
+# module, and shrinking re-runs a costly example many times; the properties
+# that use this took 18 s to five minutes to report a mutation with them.
+UNSHRUNK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 TINY_SPLIT = chronological_split(random_folksonomy(7), 0.2)
 TINY_SYNTH = generate(SynthConfig(users=30, items=40, tags=20, topics=4), seed=0)

@@ -26,8 +26,9 @@ their rows carry the generator's earliest timestamp, ``synth.START``.
 
 ``synth``: the fingerprint and stats line of ``generate()`` for
 ``SynthConfig()`` with seeds 1 and 2, and for the benchmark's largest shape
-(2,000 users, 1,500 items, 500 tags, 50 topics) with seed 1, go into the
-digest, so the generator's output is pinned at benchmark size too.
+(2,000 users, 1,500 items, 500 tags, 50 topics) with seed 1, and the sha256
+of each one's ``write_tsv`` dump, go into the digest, so the generator's
+output and the dumps the benchmark ingests are pinned at benchmark size too.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from folkrec.ingest import DatasetSpec, load_snapshot, run_pipeline, write_snaps
 from folkrec.recommenders import ALGORITHMS, K_MAX, RecommenderConfig, build_recommender
 from folkrec.similarity import item_tag_vectors
 from folkrec.split import chronological_split
-from folkrec.synth import START, SynthConfig, generate
+from folkrec.synth import START, SynthConfig, generate, write_tsv
 
 SEEDS = (1, 2)
 SAMPLE_FRACTIONS = (0.5, 1.0)
@@ -132,11 +133,17 @@ def ingest_digest() -> str:
 
 def synth_digest() -> str:
     digest = hashlib.sha256()
-    for config, seeds in SYNTH_RUNS:
-        for seed in seeds:
-            folksonomy = generate(config, seed)
-            shape = f"{config.users} {config.items} {config.tags} {config.topics}"
-            digest.update(f"{shape} {seed} {folksonomy.fingerprint()} {folksonomy.stats().line()}\n".encode("ascii"))
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = os.path.join(tmp, "dump.tsv")
+        for config, seeds in SYNTH_RUNS:
+            for seed in seeds:
+                folksonomy = generate(config, seed)
+                write_tsv(folksonomy, dump)
+                with open(dump, "rb") as fh:
+                    dumped = hashlib.sha256(fh.read()).hexdigest()
+                shape = f"{config.users} {config.items} {config.tags} {config.topics}"
+                line = f"{shape} {seed} {folksonomy.fingerprint()} {folksonomy.stats().line()} {dumped}\n"
+                digest.update(line.encode("ascii"))
     return digest.hexdigest()
 
 

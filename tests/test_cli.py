@@ -18,7 +18,7 @@ from folkrec.evaluation import run_experiment
 from folkrec.recommenders import ALGORITHMS, build_recommender
 from folkrec.split import chronological_split
 
-from conftest import TINY_SYNTH
+from conftest import TINY_SYNTH, UNSHRUNK
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 MINI = os.path.join(HERE, "data", "mini.tsv")
@@ -244,6 +244,30 @@ def test_bad_config_value_is_config_error(workdir, capsys, line, mistake):
 
 
 @pytest.mark.parametrize(
+    "command,text,message",
+    [
+        ("run", "dataset: {path: mini.tsv}\nalgorithms: [5]\n", "must be a mapping or tag string"),
+        ("run", "dataset: {path: mini.tsv}\nalgorithms: [{k: 3}]\n", "needs an 'algorithm' tag"),
+        ("run", "- dataset\n- algorithms\n", "must hold a mapping at top level"),
+        ("run", "snapshot: 5\nalgorithms: [MP]\n", "expected a path string, got 5"),
+        ("run", "dataset: mini.tsv\nalgorithms: [MP]\n", "'dataset' must be a mapping"),
+        ("run", "algorithms: [MP]\n", "needs a 'dataset' section or a 'snapshot' path"),
+        ("run", "dataset: {path: mini.tsv}\nalgorithms: MP\n", "'algorithms' must be a list"),
+        ("ingest", "snapshot: snapshot.tsv\n", "ingest needs a 'dataset' section"),
+        ("run", "dataset: {path: mini.tsv}\n", "run needs a non-empty 'algorithms' list"),
+    ],
+)
+def test_config_of_the_wrong_shape_is_config_error(workdir, capsys, command, text, message):
+    (workdir / "shape.yaml").write_text(text)
+    assert run_cli(command, "--config", workdir / "shape.yaml") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert message in err
+    assert "Traceback" not in err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize(
     "line,value",
     [
         ("    t0_seconds: 8640000.0", "    t0_seconds: 1.0"),  # Z's decay underflows to 0.0
@@ -264,7 +288,7 @@ extreme_floats = st.one_of(st.sampled_from(EXTREMES), st.floats())
 extreme_ints = st.one_of(st.sampled_from((-1, 0, 1, 2, 20, 2**63)), st.integers())
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, phases=UNSHRUNK)
 @given(extreme_floats, extreme_ints, extreme_floats, extreme_floats, extreme_floats)
 @example(0.2, 20, 8640000.0, 0.0, math.inf)
 @example(0.2, 20, math.inf, math.nan, 0.5)
@@ -454,6 +478,38 @@ def test_recommend_emits_user_item_rank_score(workdir, capsys):
 def test_recommend_unknown_user_is_config_error(workdir, capsys):
     code = run_cli("recommend", "--config", workdir / "mini_config.yaml", "--user", "nobody")
     assert code == EXIT_CONFIG
+
+
+def test_recommend_a_user_preprocessing_dropped_is_unknown_on_both_routes(workdir, capsys):
+    # sampling at seed 3 drops u01, whose label the vocabulary still holds;
+    # from the dataset MP served u01 its own items and CF_B and CIRTT nothing
+    config = workdir / "mini_config.yaml"
+    text = config.read_text()
+    for line, value in (("  sample_fraction: 1.0", "  sample_fraction: 0.5"), ("  seed: 0", "  seed: 3")):
+        assert line in text
+        text = text.replace(line, value)
+    config.write_text(text)
+    assert run_cli("ingest", "--config", config) == EXIT_OK
+    assert "u01\t" not in (workdir / "out" / "snapshot.tsv").read_text()
+    (workdir / "snapshot.yaml").write_text("snapshot: out/snapshot.tsv\n")
+    capsys.readouterr()
+    for route in (config, workdir / "snapshot.yaml"):
+        for tag in ("MP", "CF_B", "CIRTT"):
+            assert run_cli("recommend", "--config", route, "--user", "u01", "--algorithm", tag) == EXIT_CONFIG
+            assert capsys.readouterr() == ("", "config error: unknown user label 'u01'\n")
+
+
+def test_recommend_an_algorithm_missing_from_the_config_runs_with_its_defaults(workdir, capsys):
+    # the mini config's CF_B entry holds the defaults, so dropping it changes nothing
+    config = workdir / "mini_config.yaml"
+    assert run_cli("recommend", "--config", config, "--user", "u01", "--algorithm", "CF_B") == EXIT_OK
+    expected = capsys.readouterr().out
+    assert expected
+    text = config.read_text()
+    assert "  - algorithm: CF_B\n    k: 20\n" in text
+    config.write_text(text.replace("  - algorithm: CF_B\n    k: 20\n", ""))
+    assert run_cli("recommend", "--config", config, "--user", "u01", "--algorithm", "cf_b") == EXIT_OK
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("n", [0, -1])

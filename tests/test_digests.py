@@ -18,4 +18,4 @@ def test_ingest_digest_is_pinned():
 
 
 def test_synth_digest_is_pinned():
-    assert synth_digest() == "87104fe1da3fa50b5fa972718a0f35265f8434871b1bad8d3a7a5ceec57fc3fa"
+    assert synth_digest() == "60dc980a6ad90c4a30d78b44415fed03b37df15d76b6bc56a40b6359a595cf12"

@@ -30,7 +30,7 @@ from folkrec.similarity import SparseVector, item_tagger_vectors
 from folkrec.split import SplitResult, chronological_split
 from folkrec.synth import SynthConfig, generate
 
-from conftest import ANY_SETTING, TINY_SYNTH, random_folksonomy
+from conftest import ANY_SETTING, TINY_SYNTH, folksonomy_from_rows, random_folksonomy
 from oracles import o_cosine
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -91,9 +91,12 @@ def test_diversity_short_lists_and_missing_vectors():
 
 
 def test_metric_preconditions():
+    for fn in (ndcg_at_k, map_at_k, recall_at_k, metric_curves):
+        # k is an integer >= 1, and a bool is not one (True served as k=1)
+        for k in (0, 2.5, True, "3"):
+            with pytest.raises(ValueError):
+                fn([1], {1}, k)
     for fn in (ndcg_at_k, map_at_k, recall_at_k):
-        with pytest.raises(ValueError):
-            fn([1], {1}, 0)
         assert fn([1], set(), 5) == 0.0
 
 
@@ -266,6 +269,16 @@ def test_unserved_user_result_is_all_zeros():
     # equal is not enough: -0.0 == 0.0, so compare the bits of every value
     values = result.ndcg + result.ap + result.recall + (result.diversity_at_max,)
     assert [v.hex() for v in values] == [(0.0).hex()] * len(values)
+
+
+def test_nobody_served_averages_over_served_users_to_zeros():
+    # no two users share an item, so CF_B finds no neighbour for anyone
+    f = folksonomy_from_rows([("u1", "a", "t", 1), ("u1", "b", "t", 2), ("u2", "c", "t", 1), ("u2", "d", "t", 2)])
+    split = chronological_split(f, 0.2)
+    report = evaluate_algorithm(split, RecommenderConfig("CF_B"), count_unserved=False)
+    zeros = (0.0,) * K_MAX
+    assert (report.users_evaluated, report.users_served, report.coverage) == (2, 0, 0.0)
+    assert (report.ndcg, report.map, report.recall, report.diversity) == (zeros, zeros, zeros, 0.0)
 
 
 def test_no_evaluable_users_raises():

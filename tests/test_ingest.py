@@ -9,7 +9,7 @@ import tempfile
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from folkrec import ingest, model
@@ -29,7 +29,7 @@ from folkrec.model import Folksonomy, Vocab, build_folksonomy, fingerprint
 from folkrec.split import chronological_split
 from folkrec.synth import write_tsv
 
-from conftest import ANY_SETTING, folksonomy_from_rows, random_folksonomy, random_rows
+from conftest import ANY_SETTING, UNSHRUNK, folksonomy_from_rows, random_folksonomy, random_rows
 
 
 def write_rows(path, rows):
@@ -463,6 +463,16 @@ def test_headerless_dump_loads_unchecked(tmp_path, small_folksonomy):
     assert loaded.fingerprint() == Folksonomy(loaded.posts, loaded.vocab).fingerprint()
 
 
+def test_snapshot_with_a_header_and_no_rows_is_empty(tmp_path, small_folksonomy):
+    path = tmp_path / "snap.tsv"
+    write_snapshot(small_folksonomy, path)
+    header = path.read_text(encoding="utf-8").splitlines(keepends=True)[:3]
+    assert all(line.startswith("#") for line in header)
+    path.write_text("".join(header), encoding="utf-8")
+    with pytest.raises(EmptyDatasetError, match="holds no assignments"):
+        load_snapshot(path)
+
+
 def test_load_snapshot_caches_the_checked_fingerprint(tmp_path, monkeypatch, small_folksonomy):
     path = tmp_path / "snap.tsv"
     write_snapshot(small_folksonomy, path)
@@ -516,7 +526,7 @@ def _assert_same_posts(got, reference):
     test_fraction=st.floats(min_value=0.05, max_value=0.95),
     t_hi=st.sampled_from([1_010, 2_000_000]),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=UNSHRUNK)
 def test_post_filters_equal_regrouping_their_kept_assignments(seed, sample_fraction, test_fraction, t_hi):
     # random_folksonomy's log, but the tags of one post land at different
     # times and some rows repeat, so grouping has earliest times to pick;
@@ -778,12 +788,11 @@ _TIMESTAMPS = {
 _FEW_LABELS = st.tuples(st.sampled_from(range(24)), _PAD, st.sampled_from(["a", "É"]), _PAD).map(lambda t: _label(*t))
 
 
-# The properties over _dumps report a falsifying dump as drawn, unshrunk.
-# Under pytest each failing example is rendered as a traceback, which parses
-# this whole file (about 30 ms), and shrinking a multi-line dump ran a
-# failing property for up to five minutes; without it a failure is reported
-# within seconds, and the dump has at most 25 lines.
-_UNSHRUNK = (Phase.explicit, Phase.reuse, Phase.generate)
+# The properties over _dumps report a falsifying dump as drawn (UNSHRUNK).
+# Each failing example's traceback parses this whole file (about 30 ms), and
+# shrinking a multi-line dump ran a failing property for up to five minutes;
+# without it a failure is reported within seconds, and the dump has at most
+# 25 lines.
 
 
 @st.composite
@@ -817,7 +826,7 @@ def _dumps(draw, labels=_LABEL):
 
 
 @given(_dumps())
-@settings(max_examples=100, deadline=None, phases=_UNSHRUNK)
+@settings(max_examples=100, deadline=None, phases=UNSHRUNK)
 def test_parse_equals_a_plain_reference_parser(dump):
     layout, text = dump
     with tempfile.TemporaryDirectory() as tmp:
@@ -847,7 +856,7 @@ def _reloaded(folksonomy, tmp):
 
 
 @given(_dumps(_FEW_LABELS))
-@settings(max_examples=100, deadline=None, phases=_UNSHRUNK)
+@settings(max_examples=100, deadline=None, phases=UNSHRUNK)
 def test_every_ingested_dump_reloads_from_its_snapshot(dump):
     layout, text = dump
     with tempfile.TemporaryDirectory() as tmp:

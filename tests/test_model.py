@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from folkrec.errors import EmptyDatasetError
 from folkrec.model import Folksonomy, Post, Vocab, build_folksonomy, fingerprint, group_posts
+from folkrec.synth import write_tsv
 
 from conftest import folksonomy_from_rows, random_folksonomy, random_rows
 
@@ -221,3 +222,22 @@ def test_items_of_user_sorted_and_tag_use_times_ascending(small_folksonomy):
         assert list(items) == sorted(items)
         for times in f.tag_use_times(user).values():
             assert list(times) == sorted(times)
+
+
+def test_rows_are_each_posts_tag_uses_in_post_order(tmp_path, small_folksonomy):
+    f = small_folksonomy
+    rows = list(f.rows())
+    assert rows[:3] == ["alice\tr1\tweb\t100", "alice\tr1\tcss\t100", "alice\tr2\tweb\t200"]
+    assert len(rows) == f.stats().assignments
+    labels = f.vocab
+    expected = [
+        (labels.users.label_of(p.user), labels.items.label_of(p.item), labels.tags.label_of(tag), ts)
+        for p in f.posts
+        for tag, ts in p.tag_times
+    ]
+    assert [tuple(row.split("\t")) for row in rows] == [(u, i, t, str(ts)) for u, i, t, ts in expected]
+    assert f.label_rows() == sorted(rows)
+    # the generator's dump is the same rows, one per line
+    path = tmp_path / "dump.tsv"
+    write_tsv(f, str(path))
+    assert path.read_bytes() == "".join(f"{row}\n" for row in rows).encode("utf-8")

@@ -372,6 +372,18 @@ def test_unknown_user_gets_empty_list():
         assert recommender.recommend(10_000).entries == ()
 
 
+@pytest.mark.parametrize("tag", ["Z", "H", "CIRTT"])
+def test_a_t_ref_missing_a_training_user_raises_key_error(tag):
+    # a recommender's t_ref covers every training user; CIRTT used to serve
+    # such a user nothing where Z and H raise when built
+    split = TINY_SPLIT
+    cirtt = build_recommender(split.train, split.t_ref, RecommenderConfig("CIRTT"))
+    user = next(u for u in sorted(split.test) if cirtt.recommend(u).entries)
+    t_ref = {u: t for u, t in split.t_ref.items() if u != user}
+    with pytest.raises(KeyError):
+        build_recommender(split.train, t_ref, RecommenderConfig(tag)).recommend(user)
+
+
 def test_split_then_recommend_smoke():
     f = random_folksonomy(6, n_users=25, n_items=25, n_posts=110)
     split = chronological_split(f)

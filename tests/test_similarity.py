@@ -104,6 +104,11 @@ def test_tag_profile_vector_counts():
     assert dict(v.items()) == {web: 3.0, java: 1.0}
 
 
+def test_unknown_profile_kind_raises(small_folksonomy):
+    with pytest.raises(ValueError, match="unknown profile kind"):
+        build_user_vectors(small_folksonomy, "tags")
+
+
 def test_item_tagger_vector(small_folksonomy):
     f = small_folksonomy
     r1 = f.vocab.items.id_of("r1")
@@ -181,8 +186,10 @@ def test_top_k_raises_for_missing_profile(small_folksonomy):
     index = UserIndex(build_user_vectors(small_folksonomy, BINARY_ITEM))
     with pytest.raises(NoProfileError):
         index.top_k(999, 5)
-    with pytest.raises(ValueError):
-        index.top_k(0, 0)
+    # k is an integer >= 1, and a bool is not one (True served one neighbour)
+    for k in (0, 2.5, True, "3"):
+        with pytest.raises(ValueError):
+            index.top_k(0, k)
     # 1e-200 squared underflows: a norm of 0.0 gives no cosine either way
     tiny = UserIndex({1: SparseVector({5: 1e-200}), 2: SparseVector({5: 1.0})})
     with pytest.raises(NoProfileError):
