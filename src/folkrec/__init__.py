@@ -13,7 +13,6 @@ from .evaluation import (
     EvalReport,
     ExperimentConfig,
     K_MAX,
-    diversity,
     evaluate_algorithm,
     map_at_k,
     metric_curves,
@@ -35,7 +34,7 @@ from .recommenders import (
     UserBasedCF,
     build_recommender,
 )
-from .similarity import SparseVector
+from .similarity import SparseVector, diversity
 from .split import SplitResult, chronological_split, reference_times
 from .synth import SynthConfig, generate
 

@@ -25,7 +25,7 @@ from typing import Dict, IO, List, Mapping, Sequence, Set, Tuple
 from .errors import ConfigError, EmptyDatasetError, is_integer, is_number
 from .model import Folksonomy, fingerprint
 from .recommenders import K_MAX, RecommenderConfig, build_recommender
-from .similarity import SparseVector, item_tag_vectors, overlapping_pair_cosines
+from .similarity import diversity, item_tag_vectors
 from .split import SplitResult, chronological_split
 
 
@@ -81,25 +81,6 @@ def map_at_k(recommended: Sequence[int], relevant: Set[int], k: int) -> float:
 def recall_at_k(recommended: Sequence[int], relevant: Set[int], k: int) -> float:
     """Recall at k: the last entry of ``metric_curves``."""
     return metric_curves(recommended, relevant, k)[-1][2]
-
-
-def diversity(recommended: Sequence[int], item_vectors: Mapping[int, SparseVector]) -> float:
-    """Mean pairwise tag-vector cosine distance within one ranked list.
-
-    Lists with fewer than two items have no pairs and score 0. Items without
-    a tag vector count as maximally distant from everything (cosine 0).
-    Pair cosines come from ``overlapping_pair_cosines`` and so need integer
-    weights, as item tag vectors have.
-    """
-    m = len(recommended)
-    if m < 2:
-        return 0.0
-    cosines = overlapping_pair_cosines([item_vectors.get(item) for item in recommended])
-    # every other pair is at distance exactly 1.0; fsum rounds the exact
-    # total once, so they can enter as one count
-    distances = [1.0 - c for c in cosines]
-    distances.append(m * (m - 1) // 2 - len(cosines))
-    return math.fsum(distances) / (m * (m - 1) / 2)
 
 
 @dataclass(frozen=True)
@@ -195,7 +176,9 @@ def evaluate_algorithm(
         recommender = build_recommender(split.train, split.t_ref, config)
         results = [_evaluate_user(recommender, user, relevant) for user, relevant in tasks]
     else:
-        # built before the pool forks, so forked workers inherit the train set's memo
+        # built before the pool starts, so workers inherit the train set's memo
+        # under the fork start method; under spawn or forkserver (Python
+        # 3.14's default on Linux) each worker rebuilds it, to the same bytes
         item_tag_vectors(split.train)
         # many small chunks, handed to whichever worker is free: a worker
         # that runs slower (costlier users, a busier CPU) takes fewer of them

@@ -216,7 +216,7 @@ def _check_sample(fraction: float, seed: int) -> None:
 
 
 def _drawn_users(users: Iterable[int], fraction: float, seed: int) -> Optional[Set[int]]:
-    """ceil(fraction * |U|) of the distinct ``users``, drawn uniformly without replacement.
+    """ceil(fraction * |U|) of the distinct ``users``, at least one, drawn uniformly without replacement.
 
     The draw runs over the users in ascending id order, so it depends on the
     user set and the seed alone. None at fraction 1.0, where every user is
@@ -227,7 +227,7 @@ def _drawn_users(users: Iterable[int], fraction: float, seed: int) -> Optional[S
         return None
     ordered = sorted(set(users))
     # round() guards against IEEE artifacts like 0.1 * 100 = 10.000000000000002
-    keep = math.ceil(round(fraction * len(ordered), 9))
+    keep = min(len(ordered), max(1, math.ceil(round(fraction * len(ordered), 9))))
     return set(random.Random(seed).sample(ordered, keep))
 
 
@@ -241,7 +241,7 @@ def _shared_item_posts(posts: Sequence[Post]) -> List[Post]:
 
 
 def sample_users(folksonomy: Folksonomy, fraction: float, seed: int) -> Folksonomy:
-    """Keep ceil(fraction * |U|) users drawn uniformly without replacement."""
+    """Keep ceil(fraction * |U|) users, at least one, drawn uniformly without replacement."""
     drawn = _drawn_users(folksonomy.users(), fraction, seed)
     if drawn is None:
         return folksonomy

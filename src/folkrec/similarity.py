@@ -13,8 +13,8 @@ Every dot product is rounded once: integer weights give exact integer sums,
 any other weights are summed with math.fsum, so results do not depend on the
 order contributions happen to arrive in. Each training folksonomy's item
 vectors (binary tagger columns and tag-count vectors) are built once and
-shared by every consumer. ``overlapping_pair_cosines`` scores every pair
-within one ranked list (evaluation's diversity) in its own fused pass.
+shared by every consumer. ``diversity`` scores every pair within one
+ranked list in its own fused pass.
 """
 
 from __future__ import annotations
@@ -173,31 +173,36 @@ def summed_item_cosines(
     return {item: math.fsum(index.cosines(vectors[item]).values()) for item in candidates}
 
 
-def overlapping_pair_cosines(vectors: Sequence[Optional[SparseVector]]) -> List[float]:
-    """Cosine of every pair of positions whose vectors share a dimension.
+def diversity(recommended: Sequence[int], item_vectors: Mapping[int, SparseVector]) -> float:
+    """Mean pairwise tag-vector cosine distance within one ranked list.
 
-    Every other pair, including any pair with a missing (None) or empty
-    vector, has cosine exactly 0.0 and is left out; the caller counts those
-    as ``pairs - len(result)``.
-
-    Every weight must be an integer (the item tag-count vectors are), with
-    every dot below 2**53: each product and each partial dot is then an
-    exact integer in a float, so the plain accumulation below is the exact
-    dot. A cosine is that dot over the product of the two norms, clamped to
-    [0, 1], as ``Postings.cosines`` computes it.
+    Lists with fewer than two items have no pairs and score 0. Items without
+    a tag vector, or with an empty one, count as maximally distant from
+    everything (cosine 0). Every weight must be an integer (item tag-count
+    vectors are; any other vector raises ValueError), with every dot below
+    2**53: each product and each partial dot is then an exact integer in a
+    float, so the plain accumulation below is the exact dot. A cosine is
+    that dot over the product of the two norms, clamped at 1, as
+    ``Postings.cosines`` computes it.
 
     One inverted index over the list's dimensions serves every pair: each
     position meets only the earlier positions it shares a dimension with.
     Querying and inserting happen in one fused pass, which is why this does
     not go through ``Postings``.
     """
+    m = len(recommended)
+    if m < 2:
+        return 0.0
     postings: Dict[int, List[Tuple[int, float]]] = {}
     norms: List[float] = []
-    cosines: List[float] = []
-    for b, vec in enumerate(vectors):
+    distances: List[float] = []
+    for b, item in enumerate(recommended):
+        vec = item_vectors.get(item)
         if vec is None or not vec.ids:
             norms.append(0.0)
             continue
+        if not vec.integral:
+            raise ValueError(f"diversity needs integer weights; the vector of item {item} has others")
         norm = vec.norm
         norms.append(norm)
         # dots[a] is the dot with earlier position a; it stays 0.0 exactly
@@ -214,8 +219,11 @@ def overlapping_pair_cosines(vectors: Sequence[Optional[SparseVector]]) -> List[
         for a, dot in enumerate(dots):
             if dot:
                 c = dot / (norms[a] * norm)
-                cosines.append(c if c < 1.0 else 1.0)
-    return cosines
+                distances.append(1.0 - c if c < 1.0 else 0.0)
+    # every other pair is at distance exactly 1.0; fsum rounds the exact
+    # total once, so they can enter as one count
+    distances.append(m * (m - 1) // 2 - len(distances))
+    return math.fsum(distances) / (m * (m - 1) / 2)
 
 
 class UserIndex:

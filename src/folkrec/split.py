@@ -47,11 +47,12 @@ def chronological_split(folksonomy: Folksonomy, test_fraction: float = 0.2) -> S
     """Hold out each user's most recent bookmarks.
 
     A user with n >= 2 posts contributes max(1, floor(test_fraction * n))
-    most recent posts to the test set; a user with a single post goes to
-    train only, since an empty training profile makes every personalized
-    algorithm undefined. Timestamp ties break by item id ascending (the
-    smaller id counts as older). Train keeps the remaining posts whole and
-    in their (user, item) order.
+    most recent posts to the test set, but never all n; a user with a single
+    post goes to train only. Either way the user keeps a training post,
+    since an empty training profile makes every personalized algorithm
+    undefined. Timestamp ties break by item id ascending (the smaller id
+    counts as older). Train keeps the remaining posts whole and in their
+    (user, item) order.
     """
     if not (is_number(test_fraction) and 0.0 < test_fraction < 1.0):
         raise ConfigError(f"test_fraction must be a number in (0, 1), got {test_fraction!r}")
@@ -60,7 +61,7 @@ def chronological_split(folksonomy: Folksonomy, test_fraction: float = 0.2) -> S
         posts = sorted(folksonomy.posts_of_user(user), key=lambda p: (p.timestamp, p.item))
         n = len(posts)
         if n >= 2:
-            n_test = max(1, math.floor(round(test_fraction * n, 9)))
+            n_test = min(n - 1, max(1, math.floor(round(test_fraction * n, 9))))
             test[user] = frozenset(p.item for p in posts[n - n_test :])
     train_posts = [p for p in folksonomy.posts if p.item not in test.get(p.user, ())]
     if not train_posts:

@@ -294,6 +294,7 @@ extreme_ints = st.one_of(st.sampled_from((-1, 0, 1, 2, 20, 2**63)), st.integers(
 @example(0.2, 20, math.inf, math.nan, 0.5)
 @example(0.2, 20, 8640000.0, math.inf, 0.5)
 @example(0.2, 20, 0.002, 0.0, 0.5)
+@example(0.2, 20, -1.0, 0.5, 0.5)  # a valid split and k, so Z meets a negative t0_seconds
 def test_every_config_is_rejected_or_yields_finite_results(tmp_path_factory, split_fraction, k, t0_seconds, floor, d):
     # each algorithm gets its own config and only its own knob, so one bad
     # knob does not hide the others
@@ -546,3 +547,5 @@ def test_every_exported_name_resolves_once():
     for name in folkrec.__all__:
         assert hasattr(folkrec, name), name
     assert not hasattr(folkrec, "TagAssignment")
+    # defined once, beside the cosine rule, and re-exported
+    assert folkrec.diversity is folkrec.evaluation.diversity is folkrec.similarity.diversity

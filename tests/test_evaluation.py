@@ -31,6 +31,8 @@ from folkrec.split import SplitResult, chronological_split
 from folkrec.synth import SynthConfig, generate
 
 from conftest import ANY_SETTING, TINY_SYNTH, folksonomy_from_rows, random_folksonomy
+from make_golden import CONFIGS as GOLDEN_CONFIGS
+from make_golden import main as write_golden_files
 from oracles import o_cosine
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -189,6 +191,23 @@ def item_vector_maps(draw):
 @settings(max_examples=300)
 def test_diversity_equals_pairwise_cosine_reference(vectors, ranking):
     assert diversity(ranking, vectors) == reference_diversity(ranking, vectors)
+
+
+def test_diversity_rejects_a_vector_with_non_integer_weights():
+    # the fused pass adds products as they come, which is exact only for
+    # integers: here it gave 0.5340994296187282, the pairwise fsum ...284
+    weights = {
+        0: {0: 0.1, 2: 0.3, 3: 0.001, 5: 0.2},
+        1: {0: 0.1, 1: 0.001, 3: 0.3, 4: 0.2},
+        2: {0: 0.1, 2: 0.3, 3: 0.2, 4: 0.2},
+    }
+    vectors = {item: SparseVector(w) for item, w in weights.items()}
+    assert reference_diversity([0, 1, 2], vectors) == 0.5340994296187284
+    with pytest.raises(ValueError):
+        diversity([0, 1, 2], vectors)
+    # one non-integral vector is enough, wherever it sits in the list
+    with pytest.raises(ValueError):
+        diversity([0, 3], {0: SparseVector({0: 1.0}), 3: SparseVector({0: 2.5})})
 
 
 def test_diversity_clamps_and_counts_disjoint_pairs_as_one():
@@ -375,16 +394,6 @@ def test_pool_size_is_capped_by_batches_and_cpus(monkeypatch):
     assert pooled == serial
 
 
-GOLDEN_CONFIGS = [
-    RecommenderConfig("MP"),
-    RecommenderConfig("CF_B", k=20),
-    RecommenderConfig("CF_T", k=20),
-    RecommenderConfig("Z", k=20, t0_seconds=8_640_000.0),
-    RecommenderConfig("H", k=20, floor=0.0),
-    RecommenderConfig("CIRTT", k=20),
-]
-
-
 def test_full_run_matches_oracle_golden_files(tmp_path):
     """End-to-end values and layout pinned by the oracle-generated files."""
     folksonomy, _ = _mini_split()
@@ -398,9 +407,7 @@ def test_full_run_matches_oracle_golden_files(tmp_path):
 
 def test_golden_files_are_the_oracles_output(tmp_path):
     """tests/make_golden.py, run now, writes the checked-in golden files byte for byte."""
-    from make_golden import main
-
-    main(str(tmp_path))
+    write_golden_files(str(tmp_path))
     for name in ("report.txt", "metrics.csv", "summary.json"):
         assert (tmp_path / name).read_bytes() == Path(HERE, "data", "golden", name).read_bytes(), name
 

@@ -226,6 +226,7 @@ def test_spec_stores_lists_and_none_as_tuples():
 @example(name="delimiter", value=5)
 @example(name="blacklist", value="bibtex-import")
 @example(name="seed", value=None)
+@example(name="delimiter", value="")  # str.split("") raises a raw ValueError
 def test_every_spec_is_rejected_or_runs(six_row_dump, name, value):
     try:
         spec = DatasetSpec(path=str(six_row_dump), **{name: value})
@@ -291,6 +292,10 @@ def test_sample_keeps_ceiling_of_fraction_times_users():
     # ceil(0.25 * 6) = 2
     six = folksonomy_from_rows(rows[:6])
     assert len(sample_users(six, 0.25, seed=0).users()) == math.ceil(0.25 * 6)
+    # at least one: ceil(round(1e-12 * 100, 9)) is 0, and kept no user
+    assert len(sample_users(f, 1e-12, seed=0).users()) == 1
+    # but an empty folksonomy has none to draw
+    assert sample_users(Folksonomy([], f.vocab), 1e-12, seed=0).users() == []
 
 
 def test_sampling_deterministic_per_seed():
@@ -541,7 +546,8 @@ def test_post_filters_equal_regrouping_their_kept_assignments(seed, sample_fract
     f = folksonomy_from_rows(rows)
 
     users = f.users()
-    kept_users = set(random.Random(seed).sample(users, math.ceil(round(sample_fraction * len(users), 9))))
+    keep = min(len(users), max(1, math.ceil(round(sample_fraction * len(users), 9))))
+    kept_users = set(random.Random(seed).sample(users, keep))
     sampled = sample_users(f, sample_fraction, seed)
     _assert_same_posts(sampled, _regrouped(f, lambda user, item, tag, ts: user in kept_users))
 
@@ -559,7 +565,7 @@ def test_post_filters_equal_regrouping_their_kept_assignments(seed, sample_fract
         by_time = sorted(cleaned.posts_of_user(user), key=lambda p: (p.timestamp, p.item))
         n = len(by_time)
         if n >= 2:
-            n_test = max(1, math.floor(round(test_fraction * n, 9)))
+            n_test = min(n - 1, max(1, math.floor(round(test_fraction * n, 9))))
             held_out[user] = frozenset(p.item for p in by_time[n - n_test :])
     split = chronological_split(cleaned, test_fraction)
     reference = _regrouped(cleaned, lambda user, item, tag, ts: item not in held_out.get(user, ()))
@@ -613,6 +619,9 @@ def _hazardous_dump(rng):
     sample_seed=st.integers(min_value=0, max_value=50),
 )
 @settings(max_examples=80, deadline=None)
+# seed 26's dump has a user (u4) whose only row is blacklisted: the draw runs
+# over the users with a kept row, not over every parsed user
+@example(seed=26, sample_fraction=0.5, sample_seed=0)
 def test_run_pipeline_equals_the_public_steps(seed, sample_fraction, sample_seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "dump.tsv")

@@ -409,6 +409,8 @@ N_FOLKSONOMY = random_folksonomy(4)
 @example(tag="MP", n=2.5)  # islice raised a raw ValueError
 @example(tag="CIRTT", n=2**63)  # islice takes no stop above sys.maxsize
 @example(tag="CF_B", n=True)  # served a list of one item
+@example(tag="MP", n=0)  # the smallest n rejected
+@example(tag="MP", n=1)  # the smallest n served
 def test_list_length_is_n_or_k_max(tag, n):
     f = N_FOLKSONOMY
     recommender = build_recommender(f, reference_times(f), RecommenderConfig(tag))

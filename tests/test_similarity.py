@@ -18,7 +18,6 @@ from folkrec.similarity import (
     build_user_vectors,
     item_tag_vectors,
     item_tagger_vectors,
-    overlapping_pair_cosines,
     summed_item_cosines,
 )
 
@@ -392,21 +391,6 @@ def test_summed_item_cosines_equal_fsum_of_cosines(weights, owned, candidates):
     assert list(got) == candidates
     for c in candidates:
         assert got[c] == math.fsum(ref_cosine(vectors[c], vectors[j]) for j in owned)
-
-
-@given(st.lists(st.one_of(st.none(), integer_vectors), max_size=12))
-def test_overlapping_pair_cosines_are_the_cosines_of_pairs_sharing_a_dimension(weights):
-    # None stands for an item without a vector; binary copies of the first
-    # vector give equal supports
-    vectors = [None if w is None else SparseVector(w) for w in weights]
-    vectors += [SparseVector({d: 1.0 for d in w}) for w in weights[:1] if w is not None]
-    expected = [
-        ref_cosine(vectors[a], vectors[b])
-        for b in range(len(vectors))
-        for a in range(b)
-        if vectors[a] is not None and vectors[b] is not None and set(vectors[a].ids) & set(vectors[b].ids)
-    ]
-    assert sorted(overlapping_pair_cosines(vectors)) == sorted(expected)
 
 
 def test_summed_item_cosines_clamp_identical_tagger_sets():

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from folkrec.errors import ConfigError
 from folkrec.split import chronological_split, write_split
@@ -59,6 +61,23 @@ def test_test_count_rule(n, expected):
     f = folksonomy_from_rows(rows)
     split = chronological_split(f, 0.2)
     assert len(split.test[f.vocab.users.id_of("u")]) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    seed=st.integers(min_value=0, max_value=50),
+)
+# floor(round(f * n, 9)) reaches n once f is within about 1e-9 of 1: this
+# fraction held out every post of the users with two to four
+@example(fraction=0.9999999999, seed=0)
+def test_every_test_user_keeps_a_training_post(fraction, seed):
+    f = random_folksonomy(seed)
+    split = chronological_split(f, fraction)
+    for user, held in split.test.items():
+        n = len(f.posts_of_user(user))
+        assert n >= 2 and 1 <= len(held) < n
+        assert len(split.train.posts_of_user(user)) == n - len(held)
 
 
 def test_split_invariants_on_random_fixtures():
