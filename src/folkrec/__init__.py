@@ -6,7 +6,7 @@ evaluates them under a chronological leave-newest-out protocol with
 deterministic, byte-stable reports.
 """
 
-from .bll import BllParams, bll_item, bll_raw, build_bll_profile, normalize_profile
+from .bll import BllParams, bll_item, bll_raw, build_bll_profile
 from .errors import ConfigError, EmptyDatasetError, FolkrecError, FormatError, NoProfileError
 from .evaluation import (
     AlgorithmReport,
@@ -81,7 +81,6 @@ __all__ = [
     "map_at_k",
     "metric_curves",
     "ndcg_at_k",
-    "normalize_profile",
     "recall_at_k",
     "reference_times",
     "run_experiment",

@@ -60,25 +60,20 @@ def bll_raw(use_timestamps: Sequence[int], t_ref: int, d: float) -> float:
     return top + math.log(math.fsum(math.exp(x - top) for x in exponents))
 
 
-def normalize_profile(raw: Mapping[int, float]) -> Dict[int, float]:
-    """Map raw activations onto (0, 1] summing to 1, via a softmax.
-
-    Isolated here so the normalization can be swapped (e.g. for min-max) in
-    one place for sensitivity analysis.
-    """
-    shift = max(raw.values())
-    exps = {t: math.exp(v - shift) for t, v in sorted(raw.items())}
-    total = math.fsum(exps.values())
-    return {t: e / total for t, e in exps.items()}
-
-
 def build_bll_profile(train: Folksonomy, user: int, t_ref: int, params: BllParams) -> Dict[int, float]:
-    """Normalized activation per tag at t_ref, over all the user's training uses."""
+    """Activation per tag at t_ref over all the user's training uses, softmaxed to sum to 1.
+
+    The softmax shifts by the largest raw activation, so a profile whose raw
+    activations all underflow exp (a large d, old uses) still sums to 1.
+    """
     uses = train.tag_use_times(user)
     if not uses:
         raise NoProfileError(f"user {user} has no training tag assignments")
     raw = {tag: bll_raw(times, t_ref, params.d) for tag, times in uses.items()}
-    return normalize_profile(raw)
+    shift = max(raw.values())
+    exps = {tag: math.exp(v - shift) for tag, v in raw.items()}
+    total = math.fsum(exps.values())
+    return {tag: e / total for tag, e in exps.items()}
 
 
 def bll_item(profile: Mapping[int, float], item_tags: Iterable[int]) -> float:

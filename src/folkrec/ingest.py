@@ -84,7 +84,7 @@ def _parse_iso8601(raw: str) -> int:
     dt = datetime.fromisoformat(text)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    return math.floor(dt.timestamp())
 
 
 def _first_non_utf8_line(path: str) -> int:
@@ -158,8 +158,8 @@ def parse(spec: DatasetSpec) -> ParseResult:
                 # last value parsed without error, so those rows share one int
                 if raw_ts != ts_text:
                     try:
-                        # an epoch value's sub-second precision is truncated
-                        parsed_ts = int(float(raw_ts)) if epoch else _parse_iso8601(raw_ts)
+                        # an epoch value is floored to whole seconds, so -0.5 is before the epoch
+                        parsed_ts = math.floor(float(raw_ts)) if epoch else _parse_iso8601(raw_ts)
                         if parsed_ts < 0:
                             raise ValueError("timestamp before epoch")
                     except (ValueError, OverflowError) as exc:
@@ -306,11 +306,16 @@ def _written_fingerprint(path: str | Path) -> Optional[str]:
 def load_snapshot(path: str | Path) -> Folksonomy:
     """Load a snapshot (or any default-format dump) without re-filtering.
 
-    A snapshot must hold what its ``# fingerprint=`` header says: a truncated
-    or edited one is a FormatError. The checked digest stays cached as the
-    folksonomy's fingerprint. A dump without that header loads unchecked.
+    Every data row must parse: a malformed one is a FormatError naming its
+    line. A snapshot must hold what its ``# fingerprint=`` header says: a
+    truncated or edited one is a FormatError. The checked digest stays cached
+    as the folksonomy's fingerprint. A dump without that header skips the
+    fingerprint check.
     """
     parsed = parse(DatasetSpec(path=path, blacklist=()))
+    if parsed.malformed:
+        line, reason = parsed.malformed[0]
+        raise FormatError(f"snapshot {path} line {line} is malformed: {reason}")
     if not parsed.assignments:
         raise EmptyDatasetError(f"snapshot {path} holds no assignments")
     folksonomy = build_folksonomy(parsed.assignments, parsed.vocab)

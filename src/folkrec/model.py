@@ -171,13 +171,11 @@ class Folksonomy:
         return _tag_counts(self._item_posts.get(item, ()))
 
     def tag_use_times(self, user: int) -> Dict[int, List[int]]:
-        """tag -> ascending timestamps of the user's uses of that tag."""
+        """tag -> timestamps of the user's uses of that tag, in post order."""
         uses: Dict[int, List[int]] = {}
         for post in self._user_posts.get(user, ()):
             for tag, ts in post.tag_times:
                 uses.setdefault(tag, []).append(ts)
-        for times in uses.values():
-            times.sort()
         return uses
 
     def stats(self) -> Stats:

@@ -286,7 +286,7 @@ class LinearDecayTagCF(_NeighborhoodRecommender):
         latest = reference - 1
         span = latest - earliest
         profile: Dict[int, float] = {}
-        for tag, times in sorted(uses.items()):
+        for tag, times in uses.items():
             if span > 0:
                 weight = math.fsum(max(floor, (ts - earliest) / span) for ts in times)
             else:

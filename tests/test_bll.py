@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from folkrec.bll import MAX_D, BllParams, bll_item, bll_raw, build_bll_profile, normalize_profile
+from folkrec.bll import MAX_D, BllParams, bll_item, bll_raw, build_bll_profile
 from folkrec.errors import ConfigError, NoProfileError
 from folkrec.recommenders import RecommenderConfig
 
@@ -111,19 +111,36 @@ def test_profile_of_single_tag_user():
 
 def test_profile_two_tags_forty_sixty():
     # tag a: one use at recency 1 -> raw 0; tag b: uses at recencies 1 and 4
-    # -> raw ln 1.5; softmax of {0, ln 1.5} = {1, 1.5}/2.5
-    f = folksonomy_from_rows(
-        [
-            ("u", "r1", "a", 999),
-            ("u", "r2", "b", 999),
-            ("u", "r3", "b", 996),
-        ]
-    )
+    # at d = 0.5, or 1 and 2 at d = 1 -> raw ln 1.5; softmax of {0, ln 1.5}
+    # = {1, 1.5}/2.5
+    for d, older in ((0.5, 996), (1.0, 998)):
+        f = folksonomy_from_rows(
+            [
+                ("u", "r1", "a", 999),
+                ("u", "r2", "b", 999),
+                ("u", "r3", "b", older),
+            ]
+        )
+        u = f.vocab.users.id_of("u")
+        profile = build_bll_profile(f, u, t_ref=1000, params=BllParams(d=d))
+        a, b = f.vocab.tags.id_of("a"), f.vocab.tags.id_of("b")
+        assert profile[a] == pytest.approx(0.4, abs=1e-12)
+        assert profile[b] == pytest.approx(0.6, abs=1e-12)
+
+
+def test_profile_of_activations_below_the_exp_range_sums_to_one():
+    # d = 150, recency 10**6: a's raw activation is -150 ln 10**6 (about
+    # -2072, where exp underflows to 0.0) and b's, from two such uses, ln 2
+    # more; the softmax is {1, 2}/3 only if it shifts by the largest
+    t_ref, ts = 10**9, 10**9 - 10**6
+    f = folksonomy_from_rows([("u", "r1", "a", ts), ("u", "r2", "b", ts), ("u", "r3", "b", ts)])
+    assert math.exp(bll_raw([ts, ts], t_ref, 150.0)) == 0.0
     u = f.vocab.users.id_of("u")
-    profile = build_bll_profile(f, u, t_ref=1000, params=BllParams())
     a, b = f.vocab.tags.id_of("a"), f.vocab.tags.id_of("b")
-    assert profile[a] == pytest.approx(0.4, abs=1e-12)
-    assert profile[b] == pytest.approx(0.6, abs=1e-12)
+    profile = build_bll_profile(f, u, t_ref=t_ref, params=BllParams(d=150.0))
+    assert profile[a] == pytest.approx(1 / 3, abs=1e-12)
+    assert profile[b] == pytest.approx(2 / 3, abs=1e-12)
+    assert math.fsum(profile.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_profile_time_translation_invariance():
@@ -163,16 +180,6 @@ def test_profile_values_sum_to_one_and_cover_all_train_tags():
 def test_missing_user_raises_no_profile(small_folksonomy):
     with pytest.raises(NoProfileError):
         build_bll_profile(small_folksonomy, 999, t_ref=1000, params=BllParams())
-
-
-def test_normalize_profile_is_isolated_softmax():
-    raw = {0: 0.0, 1: math.log(1.5)}
-    out = normalize_profile(raw)
-    assert out[0] == pytest.approx(0.4, abs=1e-12)
-    assert out[1] == pytest.approx(0.6, abs=1e-12)
-    # large values must not overflow
-    big = normalize_profile({0: 800.0, 1: 800.0})
-    assert big[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_item_activation_sums():

@@ -397,6 +397,22 @@ def test_run_from_an_edited_snapshot_is_data_error(workdir, capsys):
     assert not (workdir / "from_snap").exists()
 
 
+def test_split_from_a_dump_with_a_malformed_row_is_data_error(workdir, capsys):
+    # a headerless dump has no fingerprint to catch the dropped row, so the
+    # snapshot route must reject the row itself
+    rows = ["u1\tr1\tweb\t100", "u1\tr2\tcss\t200", "u2\tr1\tweb\t150",
+            "u2\tr3\tcss\t250", "u3\tr2\tweb\t120", "u3\tr3\tml\tnotatime"]
+    (workdir / "dump.tsv").write_text("".join(row + "\n" for row in rows))
+    (workdir / "snap.yaml").write_text("snapshot: dump.tsv\nout_dir: split\n")
+    capsys.readouterr()
+    assert run_cli("split", "--config", workdir / "snap.yaml") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert f"{workdir / 'dump.tsv'} line 6 " in err
+    assert "notatime" in err
+    assert not (workdir / "split").exists()
+
+
 def test_split_writes_three_files(workdir, capsys):
     code = run_cli("split", "--config", workdir / "mini_config.yaml", "--out", workdir / "sp")
     assert code == EXIT_OK

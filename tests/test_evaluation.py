@@ -482,6 +482,14 @@ def test_report_writers_format(tmp_path):
     assert len(payload["algorithms"]["MP"]["ndcg"]) == K_MAX
 
 
+def test_by_algorithm_raises_key_error_for_a_tag_not_run():
+    folksonomy, _ = _mini_split()
+    report = run_experiment(folksonomy, ExperimentConfig([RecommenderConfig("MP")]))
+    assert report.by_algorithm("MP") is report.algorithms[0]
+    with pytest.raises(KeyError, match="CIRTT"):
+        report.by_algorithm("CIRTT")
+
+
 def test_item_tag_vectors_use_tag_counts():
     folksonomy, split = _mini_split()
     vectors = item_tag_vectors(split.train)

@@ -71,7 +71,14 @@ def test_malformed_rows_counted_with_line_numbers(tmp_path):
 
 @pytest.mark.parametrize(
     "fmt, valid, before_epoch",
-    [("epoch", "100", "-5"), ("iso8601", "1970-01-01T00:01:40Z", "1969-12-31T23:59:59Z")],
+    [
+        ("epoch", "100", "-5"),
+        ("iso8601", "1970-01-01T00:01:40Z", "1969-12-31T23:59:59Z"),
+        # a fraction of a second before the epoch is before it too
+        ("epoch", "100", "-1"),
+        ("epoch", "100", "-0.5"),
+        ("iso8601", "1970-01-01T00:01:40Z", "1969-12-31T23:59:59.500Z"),
+    ],
 )
 def test_timestamp_before_epoch_is_a_malformed_row(tmp_path, fmt, valid, before_epoch):
     path = tmp_path / "d.tsv"
@@ -699,9 +706,9 @@ def test_the_draw_runs_over_users_with_a_kept_row(tmp_path, seed):
 
 
 def _reference_timestamp(raw, fmt):
-    """Seconds since the epoch: a number (truncated) or an ISO-8601 time (UTC unless zoned)."""
+    """Seconds since the epoch: a number (floored) or an ISO-8601 time (UTC unless zoned, floored)."""
     if fmt == "epoch":
-        ts = int(float(raw))
+        ts = math.floor(float(raw))
     else:
         text = raw.strip()
         if text.endswith(("Z", "z")):
@@ -709,7 +716,7 @@ def _reference_timestamp(raw, fmt):
         dt = datetime.fromisoformat(text)
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
-        ts = int(dt.timestamp())
+        ts = math.floor(dt.timestamp())
     if ts < 0:
         raise ValueError("timestamp before epoch")
     return ts

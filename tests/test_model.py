@@ -2,6 +2,7 @@
 
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -215,13 +216,13 @@ def test_fingerprint_independent_of_interning_order():
     assert fingerprint(folksonomy_from_rows(rows)) == fingerprint(folksonomy_from_rows(rows[::-1]))
 
 
-def test_items_of_user_sorted_and_tag_use_times_ascending(small_folksonomy):
+def test_items_of_user_sorted_and_tag_use_times_hold_each_use(small_folksonomy):
     f = small_folksonomy
     for user in f.users():
         items = f.items_of_user(user)
         assert list(items) == sorted(items)
-        for times in f.tag_use_times(user).values():
-            assert list(times) == sorted(times)
+        uses = Counter((tag, ts) for tag, times in f.tag_use_times(user).items() for ts in times)
+        assert uses == Counter(use for post in f.posts_of_user(user) for use in post.tag_times)
 
 
 def test_rows_are_each_posts_tag_uses_in_post_order(tmp_path, small_folksonomy):
