@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, IO, List, Mapping, Sequence, Set, Tuple
 
 from .errors import ConfigError, EmptyDatasetError, is_integer, is_number
-from .model import Folksonomy, fingerprint
+from .model import Folksonomy
 from .recommenders import K_MAX, RecommenderConfig, build_recommender
 from .similarity import diversity, item_tag_vectors
 from .split import SplitResult, chronological_split
@@ -311,7 +311,7 @@ def run_experiment(folksonomy: Folksonomy, experiment: ExperimentConfig) -> Eval
         for config in experiment.algorithms
     )
     return EvalReport(
-        dataset_fingerprint=fingerprint(folksonomy),
+        dataset_fingerprint=folksonomy.fingerprint(),
         config_hash=config_hash(echo),
         config_echo=echo,
         algorithms=reports,

@@ -108,8 +108,9 @@ def parse(spec: DatasetSpec) -> ParseResult:
 
     Malformed rows are counted with their line number and reason, never
     silently dropped. If more than half of the data rows are malformed the
-    column mapping is almost certainly wrong and a FormatError is raised, as
-    it is for a file that is not UTF-8 text.
+    column mapping is almost certainly wrong and a FormatError naming the
+    file and its first malformed line is raised, as it is for a file that is
+    not UTF-8 text.
     """
     vocab = Vocab()
     assignments: List[Assignment] = []
@@ -180,8 +181,10 @@ def parse(spec: DatasetSpec) -> ParseResult:
         raise FormatError(f"{spec.path} line {_first_non_utf8_line(spec.path)} is not UTF-8 text") from None
 
     if data_rows and len(malformed) * 2 > data_rows:
+        line, reason = malformed[0]
         raise FormatError(
-            f"{len(malformed)} of {data_rows} rows malformed; check the column mapping and delimiter"
+            f"{spec.path}: {len(malformed)} of {data_rows} rows malformed, the first at line {line}: {reason}; "
+            "check the column mapping and delimiter"
         )
     return ParseResult(assignments, vocab, data_rows, malformed)
 

@@ -39,8 +39,8 @@ from .model import Folksonomy
 from .similarity import (
     BINARY_ITEM,
     TAG_PROFILE,
+    Postings,
     SparseVector,
-    UserIndex,
     best_first,
     build_user_vectors,
     item_tag_vectors,
@@ -148,7 +148,7 @@ class _NeighborhoodRecommender(Recommender):
         vectors: Mapping[int, SparseVector],
     ) -> None:
         super().__init__(train, t_ref, config)
-        self.index = UserIndex(vectors)
+        self.index = Postings(vectors)
 
     def candidates(
         self, user: int

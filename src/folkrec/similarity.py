@@ -3,10 +3,11 @@
 All user profiles (binary item rows, tag-frequency profiles, time-weighted
 variants) are non-negative sparse vectors, so every cosine lands in [0, 1].
 Both cosine steps of the two-step algorithms take their cosines from one
-inverted index, ``Postings.cosines``: ``UserIndex`` finds a user's neighbors
-with it (only users sharing a dimension with the target are touched, exactly
-the set with nonzero similarity), and ``summed_item_cosines`` scores a user's
-candidates against the user's own items with it. The brute-force all-pairs
+inverted index, ``Postings``: ``Postings.top_k`` finds a user's neighbors
+(only users sharing a dimension with the target are touched, exactly the set
+with nonzero similarity), and ``summed_item_cosines`` scores a user's
+candidates against the user's own items with ``Postings.cosines``. A vector
+whose norm is 0.0 has cosine 0 with every vector. The brute-force all-pairs
 scan lives in the test suite as the oracle.
 
 Every dot product is rounded once: integer weights give exact integer sums,
@@ -74,19 +75,25 @@ class SparseVector:
 
 
 class Postings:
-    """Inverted index over a fixed set of (id, vector) pairs: dots and cosines with a query.
+    """Inverted index over a fixed id -> vector map: dots, cosines and top-k neighbours of a query.
 
-    ``norms`` maps every indexed id to its vector's norm. Whether the
-    integer shortcut applies to the indexed side is decided once, here.
+    A vector whose norm is 0.0 (empty, or every squared weight underflows)
+    has cosine 0 with every vector: it is left out of the index, and as a
+    query it gets no cosines. ``vectors`` and ``norms`` map every indexed id
+    to its vector and its norm. Whether the integer shortcut applies to the
+    indexed side is decided once, here.
+
+    Immutable after construction; queries are safe to run concurrently.
     """
 
-    __slots__ = ("norms", "_lists", "_integral")
+    __slots__ = ("vectors", "norms", "_lists", "_integral")
 
-    def __init__(self, vectors: Iterable[Tuple[int, SparseVector]]) -> None:
+    def __init__(self, vectors: Mapping[int, SparseVector]) -> None:
+        self.vectors: Dict[int, SparseVector] = {ident: vec for ident, vec in vectors.items() if vec.norm}
         lists: Dict[int, List[Tuple[int, float]]] = {}
         self.norms: Dict[int, float] = {}
         integral = True
-        for ident, vec in vectors:
+        for ident, vec in self.vectors.items():
             self.norms[ident] = vec.norm
             integral = integral and vec.integral
             for dim, w in vec.items():
@@ -119,14 +126,38 @@ class Postings:
     def cosines(self, query: SparseVector) -> Dict[int, float]:
         """{id: cosine with query} for the ids ``dots`` returns: each dot over both norms, clamped at 1.
 
-        No product is negative, so neither is a cosine. Both sides must have a nonzero norm.
+        No product is negative, so neither is a cosine. A query of norm 0.0 gets none.
         """
         norm, norms = query.norm, self.norms
+        if not norm:
+            return {}
         cosines = self.dots(query)  # a fresh dict: each dot is replaced by its cosine
         for ident, dot in cosines.items():
             c = dot / (norm * norms[ident])
             cosines[ident] = c if c < 1.0 else 1.0
         return cosines
+
+    def top_k(self, user: int, k: int) -> Tuple[Tuple[int, float], ...]:
+        """The k most cosine-similar users as (user, similarity) pairs.
+
+        Similarity descends, user id breaks ties, zero-similarity users are
+        excluded.
+
+        Raises NoProfileError when the target has no vector or one of norm
+        0.0; callers typically skip such users, which feeds the coverage
+        metric. A k that is not an integer >= 1 raises ValueError.
+        """
+        if not (is_integer(k) and k >= 1):
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        vec = self.vectors.get(user)
+        if vec is None:
+            raise NoProfileError(f"user {user} has no profile to search neighbors for")
+        cosines = self.cosines(vec)
+        del cosines[user]
+        # the target shares its own dimensions, so it is always a key; a zero
+        # similarity sorts after every positive one, so dropping zeros after
+        # the cut keeps the same pairs in the same order
+        return tuple(pair for pair in best_first(cosines.items(), k) if pair[1] > 0.0)
 
 
 # A folksonomy never changes after construction, so its item vectors are a
@@ -167,9 +198,10 @@ def summed_item_cosines(
 
     Each cosine comes from ``Postings.cosines`` over one index of the owned
     items, which serves every candidate; an owned item sharing no dimension
-    with the candidate adds an exact 0.0 and is skipped.
+    with the candidate, or either of them of norm 0.0, adds an exact 0.0 and
+    is skipped.
     """
-    index = Postings((j, vectors[j]) for j in owned)
+    index = Postings({j: vectors[j] for j in owned})
     return {item: math.fsum(index.cosines(vectors[item]).values()) for item in candidates}
 
 
@@ -226,41 +258,7 @@ def diversity(recommended: Sequence[int], item_vectors: Mapping[int, SparseVecto
     return math.fsum(distances) / (m * (m - 1) / 2)
 
 
-class UserIndex:
-    """Top-k cosine neighbours over a fixed set of user vectors.
-
-    A vector whose norm is 0.0 (empty, or every squared weight underflows)
-    has cosine 0 with every other vector and is left out of the index.
-
-    Immutable after construction; queries for different users are safe to run
-    concurrently.
-    """
-
-    def __init__(self, vectors: Mapping[int, SparseVector]) -> None:
-        self._vectors: Dict[int, SparseVector] = {user: vec for user, vec in vectors.items() if vec.norm}
-        self._postings = Postings(self._vectors.items())
-
-    def top_k(self, user: int, k: int) -> Tuple[Tuple[int, float], ...]:
-        """The k most cosine-similar users as (user, similarity) pairs.
-
-        Similarity descends, user id breaks ties, zero-similarity users are
-        excluded.
-
-        Raises NoProfileError when the target has no vector or one of norm
-        0.0; callers typically skip such users, which feeds the coverage
-        metric. A k that is not an integer >= 1 raises ValueError.
-        """
-        if not (is_integer(k) and k >= 1):
-            raise ValueError(f"k must be an integer >= 1, got {k!r}")
-        vec = self._vectors.get(user)
-        if vec is None:
-            raise NoProfileError(f"user {user} has no profile to search neighbors for")
-        cosines = self._postings.cosines(vec)
-        del cosines[user]
-        # the target shares its own dimensions, so it is always a key; a zero
-        # similarity sorts after every positive one, so dropping zeros after
-        # the cut keeps the same pairs in the same order
-        return tuple(pair for pair in best_first(cosines.items(), k) if pair[1] > 0.0)
+UserIndex = Postings  # the old name, still imported by perfbench/run.py
 
 
 def build_user_vectors(train: Folksonomy, profile_kind: str) -> Dict[int, SparseVector]:

@@ -118,6 +118,197 @@ MUTANTS = (
         "(-(sim * bll_item(profile, tags[item].ids)), 0.0, item)",
         ("tests/test_recommenders.py",),
     ),
+    # one per settings rule
+    Mutant(
+        "spec-path-of-any-type",
+        "src/folkrec/ingest.py",
+        "if not isinstance(self.path, (str, os.PathLike)):",
+        "if self.path is None:",
+        ("tests/test_ingest.py",),
+    ),
+    Mutant(
+        "spec-negative-column-accepted",
+        "src/folkrec/ingest.py",
+        "all(is_integer(c) and c >= 0 for c in self.columns)",
+        "all(is_integer(c) for c in self.columns)",
+        ("tests/test_ingest.py",),
+    ),
+    Mutant(
+        "spec-repeated-column-accepted",
+        "src/folkrec/ingest.py",
+        " and len(set(self.columns)) == 4):",
+        "):",
+        ("tests/test_ingest.py",),
+    ),
+    Mutant(
+        "spec-unknown-timestamp-format-accepted",
+        "src/folkrec/ingest.py",
+        'if self.timestamp_format not in ("epoch", "iso8601"):',
+        "if not isinstance(self.timestamp_format, str):",
+        ("tests/test_ingest.py",),
+    ),
+    Mutant(
+        "spec-string-blacklist-accepted",
+        "src/folkrec/ingest.py",
+        "isinstance(blacklist, (list, tuple))",
+        "isinstance(blacklist, (list, tuple, str))",
+        ("tests/test_ingest.py",),
+    ),
+    Mutant(
+        "sample-fraction-zero-accepted",
+        "src/folkrec/ingest.py",
+        "0.0 < fraction <= 1.0",
+        "0.0 <= fraction <= 1.0",
+        ("tests/test_ingest.py",),
+    ),
+    Mutant(
+        "sample-seed-of-any-number",
+        "src/folkrec/ingest.py",
+        "if not is_integer(seed):",
+        "if not is_number(seed):",
+        ("tests/test_ingest.py",),
+    ),
+    Mutant(
+        "unknown-algorithm-accepted",
+        "src/folkrec/recommenders.py",
+        "if self.algorithm not in ALGORITHMS:",
+        "if not isinstance(self.algorithm, str):",
+        ("tests/test_recommenders.py",),
+    ),
+    Mutant(
+        "config-k-zero-accepted",
+        "src/folkrec/recommenders.py",
+        "is_integer(self.k) and self.k >= 1",
+        "is_integer(self.k) and self.k >= 0",
+        ("tests/test_recommenders.py",),
+    ),
+    Mutant(
+        "config-bll-of-any-type",
+        "src/folkrec/recommenders.py",
+        "if not isinstance(self.bll, BllParams):",
+        "if self.bll is None:",
+        ("tests/test_recommenders.py",),
+    ),
+    Mutant(
+        "floor-above-one-accepted",
+        "src/folkrec/recommenders.py",
+        "0.0 <= self.floor <= 1.0",
+        "0.0 <= self.floor",
+        ("tests/test_recommenders.py",),
+    ),
+    Mutant(
+        "decay-unbounded",
+        "src/folkrec/bll.py",
+        "0.0 < self.d <= MAX_D",
+        "0.0 < self.d",
+        ("tests/test_bll.py",),
+    ),
+    Mutant(
+        "experiment-algorithm-entries-unchecked",
+        "src/folkrec/evaluation.py",
+        "\n                and all(isinstance(c, RecommenderConfig) for c in self.algorithms)):",
+        "):",
+        ("tests/test_evaluation.py",),
+    ),
+    Mutant(
+        "duplicate-algorithm-tags-accepted",
+        "src/folkrec/evaluation.py",
+        "if len(set(tags)) != len(tags):",
+        "if len(set(tags)) > len(tags):",
+        ("tests/test_evaluation.py",),
+    ),
+    Mutant(
+        "split-fraction-one-accepted",
+        "src/folkrec/evaluation.py",
+        "0.0 < self.split_fraction < 1.0",
+        "0.0 < self.split_fraction <= 1.0",
+        ("tests/test_evaluation.py",),
+    ),
+    Mutant(
+        "experiment-seed-of-any-number",
+        "src/folkrec/evaluation.py",
+        "if not is_integer(self.seed):",
+        "if not is_number(self.seed):",
+        ("tests/test_evaluation.py",),
+    ),
+    Mutant(
+        "workers-zero-accepted",
+        "src/folkrec/evaluation.py",
+        "is_integer(workers) and workers >= 1",
+        "is_integer(workers) and workers >= 0",
+        ("tests/test_evaluation.py",),
+    ),
+    Mutant(
+        "count-unserved-of-any-type",
+        "src/folkrec/evaluation.py",
+        "if not isinstance(count_unserved, bool):",
+        "if count_unserved is None:",
+        ("tests/test_evaluation.py",),
+    ),
+    Mutant(
+        "unrecordable-settings-accepted",
+        "src/folkrec/evaluation.py",
+        "            config_hash(_config_echo(self.algorithms, self.split_fraction, self.seed, self.count_unserved))\n",
+        "            pass\n",
+        ("tests/test_evaluation.py",),
+    ),
+    Mutant(
+        "synth-one-topic-accepted",
+        "src/folkrec/synth.py",
+        "is_integer(self.topics) and self.topics >= 2",
+        "is_integer(self.topics) and self.topics >= 1",
+        ("tests/test_synth.py",),
+    ),
+    Mutant(
+        "synth-zero-users-accepted",
+        "src/folkrec/synth.py",
+        "is_integer(self.users) and self.users >= 1",
+        "is_integer(self.users) and self.users >= 0",
+        ("tests/test_synth.py",),
+    ),
+    Mutant(
+        "synth-fewer-items-or-tags-than-topics",
+        "src/folkrec/synth.py",
+        "is_integer(value) and value >= self.topics",
+        "is_integer(value) and value >= 1",
+        ("tests/test_synth.py",),
+    ),
+    # the split, unique-resource removal and the zero-norm rule
+    Mutant(
+        "split-may-hold-out-nothing",
+        "src/folkrec/split.py",
+        "max(1, math.floor(",
+        "max(0, math.floor(",
+        ("tests/test_split.py",),
+    ),
+    Mutant(
+        "empty-split-accepted",
+        "src/folkrec/split.py",
+        "    if not train_posts:\n",
+        "    if False:\n",
+        ("tests/test_split.py",),
+    ),
+    Mutant(
+        "unique-resources-kept",
+        "src/folkrec/ingest.py",
+        "taggers[post.item] > 1",
+        "taggers[post.item] >= 1",
+        ("tests/test_ingest.py",),
+    ),
+    Mutant(
+        "zero-norm-vectors-indexed",
+        "src/folkrec/similarity.py",
+        "{ident: vec for ident, vec in vectors.items() if vec.norm}",
+        "dict(vectors)",
+        ("tests/test_similarity.py",),
+    ),
+    Mutant(
+        "zero-norm-query-gets-cosines",
+        "src/folkrec/similarity.py",
+        "        if not norm:\n            return {}\n",
+        "",
+        ("tests/test_similarity.py",),
+    ),
 )
 
 

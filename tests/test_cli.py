@@ -413,6 +413,22 @@ def test_split_from_a_dump_with_a_malformed_row_is_data_error(workdir, capsys):
     assert not (workdir / "split").exists()
 
 
+@pytest.mark.parametrize("section", ["snapshot: dump.tsv", "dataset:\n  path: dump.tsv"])
+def test_split_from_a_mostly_malformed_dump_names_the_file_and_first_bad_line(workdir, capsys, section):
+    # two bad rows of three trip parse's half-malformed limit on either route
+    (workdir / "dump.tsv").write_text("u1\ti1\tt1\t100\nu1\ti2\tt2\tnotatime\nu2\ti1\n")
+    (workdir / "bad.yaml").write_text(f"{section}\nout_dir: split\n")
+    capsys.readouterr()
+    assert run_cli("split", "--config", workdir / "bad.yaml") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert str(workdir / "dump.tsv") in err
+    assert "2 of 3 rows malformed" in err
+    assert "line 2" in err
+    assert "notatime" in err
+    assert not (workdir / "split").exists()
+
+
 def test_split_writes_three_files(workdir, capsys):
     code = run_cli("split", "--config", workdir / "mini_config.yaml", "--out", workdir / "sp")
     assert code == EXIT_OK

@@ -321,6 +321,7 @@ def test_duplicate_algorithms_rejected():
         {"workers": "2"},
         {"workers": 2.5},
         {"workers": True},
+        {"workers": 0},
         {"count_unserved": "no"},  # ran as if true
         {"count_unserved": 0},
     ],
@@ -329,6 +330,23 @@ def test_bad_evaluate_algorithm_argument_is_config_error(kwargs):
     _, split = _mini_split()
     with pytest.raises(ConfigError):
         evaluate_algorithm(split, RecommenderConfig("MP"), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"split_fraction": 0.0},
+        {"split_fraction": 1.0},
+        {"workers": 0},
+        {"seed": 1.0},
+        {"count_unserved": 1},
+    ],
+)
+def test_experiment_config_rejects_a_bad_setting_when_built(kwargs):
+    # a run would reject some of these later (the split checks its fraction
+    # too), but the config is checked when it is built
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**kwargs)
 
 
 def test_evaluation_is_deterministic():

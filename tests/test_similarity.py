@@ -13,7 +13,6 @@ from folkrec.similarity import (
     TAG_PROFILE,
     Postings,
     SparseVector,
-    UserIndex,
     best_first,
     build_user_vectors,
     item_tag_vectors,
@@ -34,6 +33,19 @@ integer_vectors = st.dictionaries(
     st.integers(min_value=0, max_value=12),
     st.integers(min_value=1, max_value=40).map(float),
     max_size=8,
+)
+
+# weights of 1e-170 square to 0.0: alone they make a zero-norm profile, and a
+# neighbour sharing only such dimensions with the target has a dot, and so a
+# similarity, of 0.0
+underflowing_weights = st.dictionaries(st.integers(min_value=0, max_value=12), st.just(1e-170), min_size=1, max_size=4)
+
+# integer or float weights, or underflowing ones, alone (norm 0.0) or among finite ones
+any_weights = st.one_of(
+    integer_vectors,
+    finite_weights,
+    underflowing_weights,
+    st.tuples(st.one_of(integer_vectors, finite_weights), underflowing_weights).map(lambda p: {**p[0], **p[1]}),
 )
 
 
@@ -163,7 +175,7 @@ def test_top_k_shared_items_ordering():
         ("u3", "y", "t", 8),
     ]
     f = folksonomy_from_rows(rows)
-    hood = UserIndex(build_user_vectors(f, BINARY_ITEM)).top_k(f.vocab.users.id_of("u1"), k=5)
+    hood = Postings(build_user_vectors(f, BINARY_ITEM)).top_k(f.vocab.users.id_of("u1"), k=5)
     labels = [f.vocab.users.label_of(u) for u, _ in hood]
     assert labels == ["u2", "u3"]
 
@@ -176,13 +188,13 @@ def test_top_k_excludes_zero_similarity_users():
         ("u4", "zzz", "t", 4),
     ]
     f = folksonomy_from_rows(rows)
-    hood = UserIndex(build_user_vectors(f, BINARY_ITEM)).top_k(f.vocab.users.id_of("u1"), k=10)
+    hood = Postings(build_user_vectors(f, BINARY_ITEM)).top_k(f.vocab.users.id_of("u1"), k=10)
     labels = {f.vocab.users.label_of(u) for u, _ in hood}
     assert labels == {"u2"}
 
 
 def test_top_k_raises_for_missing_profile(small_folksonomy):
-    index = UserIndex(build_user_vectors(small_folksonomy, BINARY_ITEM))
+    index = Postings(build_user_vectors(small_folksonomy, BINARY_ITEM))
     with pytest.raises(NoProfileError):
         index.top_k(999, 5)
     # k is an integer >= 1, and a bool is not one (True served one neighbour)
@@ -190,7 +202,7 @@ def test_top_k_raises_for_missing_profile(small_folksonomy):
         with pytest.raises(ValueError):
             index.top_k(0, k)
     # 1e-200 squared underflows: a norm of 0.0 gives no cosine either way
-    tiny = UserIndex({1: SparseVector({5: 1e-200}), 2: SparseVector({5: 1.0})})
+    tiny = Postings({1: SparseVector({5: 1e-200}), 2: SparseVector({5: 1.0})})
     with pytest.raises(NoProfileError):
         tiny.top_k(1, 5)
     assert tiny.top_k(2, 5) == ()
@@ -203,7 +215,7 @@ def test_tie_break_by_user_id():
         ("carl", "a", "t", 3),
     ]
     f = folksonomy_from_rows(rows)
-    hood = UserIndex(build_user_vectors(f, BINARY_ITEM)).top_k(f.vocab.users.id_of("anna"), k=2)
+    hood = Postings(build_user_vectors(f, BINARY_ITEM)).top_k(f.vocab.users.id_of("anna"), k=2)
     ids = [u for u, _ in hood]
     assert ids == sorted(ids)
     sims = [s for _, s in hood]
@@ -215,7 +227,7 @@ def test_index_matches_all_pairs_oracle(kind, oracle_profile):
     for seed in range(6):
         f = random_folksonomy(seed, n_users=25, n_items=30, n_tags=10, n_posts=120)
         vectors = {u: oracle_profile(f, u) for u in f.users()}
-        index = UserIndex(build_user_vectors(f, kind))
+        index = Postings(build_user_vectors(f, kind))
         for user in f.users():
             expected = o_neighbors(vectors, user, 7)
             if not vectors[user]:
@@ -234,8 +246,8 @@ def test_ranking_invariant_under_positive_scaling():
     target = sorted(base)[0]
     scaled = dict(base)
     scaled[target] = SparseVector({i: 37.5 * w for i, w in base[target].items()})
-    plain = UserIndex(base).top_k(target, 10)
-    boosted = UserIndex(scaled).top_k(target, 10)
+    plain = Postings(base).top_k(target, 10)
+    boosted = Postings(scaled).top_k(target, 10)
     assert [u for u, _ in plain] == [u for u, _ in boosted]
     for (_, a), (_, b) in zip(plain, boosted):
         assert a == pytest.approx(b, abs=1e-12)
@@ -283,34 +295,38 @@ def test_dot_equals_binary_search_reference(indexed, query):
     # integer-only draws take the exact-integer path, any float weight the fsum path
     vectors = [SparseVector(w) for w in indexed]
     q = SparseVector(query)
-    dots = Postings(enumerate(vectors)).dots(q)
+    dots = Postings(dict(enumerate(vectors))).dots(q)
     assert sorted(dots) == [j for j, v in enumerate(vectors) if set(v.ids) & set(q.ids)]
     for j, dot in dots.items():
         assert dot == binary_search_dot(q, vectors[j])
         assert dot == binary_search_dot(vectors[j], q)
 
 
-@given(st.lists(st.one_of(integer_vectors, finite_weights), max_size=8), st.one_of(integer_vectors, finite_weights))
+@given(st.lists(any_weights, max_size=8), any_weights)
 def test_cosines_equal_reference_cosine(indexed, query):
-    # the query is indexed too, so a self-cosine that rounds above 1 meets the clamp
+    # the query is indexed too, so a self-cosine that rounds above 1 meets the
+    # clamp; a vector of norm 0.0 on either side gets no cosine, which is the
+    # oracle's 0
     vectors = [SparseVector(w) for w in indexed + [query]]
     q = SparseVector(query)
-    cosines = Postings(enumerate(vectors)).cosines(q)
-    assert sorted(cosines) == [j for j, v in enumerate(vectors) if set(v.ids) & set(q.ids)]
+    cosines = Postings(dict(enumerate(vectors))).cosines(q)
+    assert sorted(cosines) == [j for j, v in enumerate(vectors) if q.norm and v.norm and set(v.ids) & set(q.ids)]
     for j, cosine in cosines.items():
         assert cosine == ref_cosine(q, vectors[j])
+    for j, v in enumerate(vectors):
+        assert cosines.get(j, 0.0) == ref_cosine(q, v)
 
 
 def test_postings_norms_and_integer_path():
     a, b = SparseVector({1: 3.0, 2: 4.0}), SparseVector({2: 2.0, 7: 1.0})
-    index = Postings([(10, a), (20, b)])
+    index = Postings({10: a, 20: b})
     assert index.norms == {10: 5.0, 20: math.sqrt(5.0)}
     assert index.dots(SparseVector({2: 1.0, 9: 5.0})) == {10: 4.0, 20: 2.0}
     assert index.dots(SparseVector({2: 0.5})) == {10: 2.0, 20: 1.0}
     assert index.dots(SparseVector({5: 1.0})) == {}
     # integer weights whose dot needs every bit of 2**53: still exact
     big = float(2**26)
-    index = Postings([(0, SparseVector({1: big, 2: big, 3: 1.0}))])
+    index = Postings({0: SparseVector({1: big, 2: big, 3: 1.0})})
     assert index.dots(SparseVector({1: big, 2: big - 1.0, 3: 1.0})) == {0: float(2**53 - 2**26 + 1)}
 
 
@@ -341,12 +357,6 @@ def sort_everything_top_k(vectors, user, k):
     return tuple(sorted(((o, s) for o, s in sims if s > 0.0), key=lambda e: (-e[1], e[0]))[:k])
 
 
-# weights of 1e-170 square to 0.0: alone they make a zero-norm profile, and a
-# neighbour sharing only such dimensions with the target has a dot, and so a
-# similarity, of 0.0
-underflowing_weights = st.dictionaries(st.integers(min_value=0, max_value=12), st.just(1e-170), min_size=1, max_size=4)
-
-
 @st.composite
 def user_profiles(draw):
     """Integer or float profiles; users draw from a small pool, so equal vectors (ties) are common.
@@ -363,7 +373,7 @@ def user_profiles(draw):
 @given(user_profiles(), st.integers(min_value=1, max_value=6), st.data())
 def test_top_k_equals_sort_everything_reference(vectors, k, data):
     user = data.draw(st.sampled_from(sorted(vectors)))
-    index = UserIndex(vectors)
+    index = Postings(vectors)
     if not vectors[user].norm:
         with pytest.raises(NoProfileError):
             index.top_k(user, k)
@@ -372,13 +382,14 @@ def test_top_k_equals_sort_everything_reference(vectors, k, data):
 
 
 @given(
-    st.lists(st.one_of(integer_vectors, finite_weights), min_size=1, max_size=10),
+    st.lists(any_weights, min_size=1, max_size=10),
     st.lists(st.integers(min_value=0, max_value=9), max_size=6, unique=True),
     st.lists(st.integers(min_value=0, max_value=9), max_size=6, unique=True),
 )
 def test_summed_item_cosines_equal_fsum_of_cosines(weights, owned, candidates):
     # items n..2n-1 are binary copies of items 0..n-1, so equal supports come
-    # up; item 2n overlaps no other item and item 2n+1 is empty
+    # up; item 2n overlaps no other item and item 2n+1 is empty; an item of
+    # norm 0.0, owned or candidate, adds the oracle's cosine of 0
     n = len(weights)
     vectors = {i: SparseVector(w) for i, w in enumerate(weights)}
     vectors.update({n + i: SparseVector({d: 1.0 for d in w}) for i, w in enumerate(weights)})

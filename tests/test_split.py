@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from folkrec.errors import ConfigError
+from folkrec.errors import ConfigError, EmptyDatasetError
+from folkrec.model import Folksonomy, Vocab
 from folkrec.split import chronological_split, write_split
 
 from conftest import folksonomy_from_rows, random_folksonomy
@@ -132,6 +133,11 @@ def test_bad_fraction_rejected(small_folksonomy):
     for fraction in (0.0, 1.0, -0.2, 1.5, "0.2", math.nan, True):
         with pytest.raises(ConfigError):
             chronological_split(small_folksonomy, fraction)
+
+
+def test_empty_folksonomy_has_no_training_posts():
+    with pytest.raises(EmptyDatasetError, match="no training posts"):
+        chronological_split(Folksonomy([], Vocab()))
 
 
 def test_write_split_outputs(tmp_path, small_folksonomy):
