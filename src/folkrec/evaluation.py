@@ -185,9 +185,9 @@ def evaluate_algorithm(
         # instead of holding up the others at the end
         chunk = -(-len(tasks) // (workers * _CHUNKS_PER_WORKER))
         # the pool forks all max_workers processes at its first submit, so
-        # never ask for more than there are chunks or CPUs to run them
+        # never ask for more than there are tasks or CPUs to run them
         with ProcessPoolExecutor(
-            max_workers=min(workers, -(-len(tasks) // chunk), os.cpu_count() or 1),
+            max_workers=min(workers, len(tasks), os.cpu_count() or 1),
             initializer=_worker_init,
             initargs=(split.train, split.t_ref, config),
         ) as pool:

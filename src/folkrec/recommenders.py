@@ -234,8 +234,8 @@ class ExpDecayCF(_NeighborhoodRecommender):
     The binary matrix is replaced by W[u][i] = (number of tags u put on i)
     * exp(-(t_ref(u) - t(u,i)) / t0); both the user neighborhood and the
     candidate scores sum(sim(u,v) * W[v][i]) are computed from W. A weight
-    whose decay underflows to 0.0 is left out of the user vectors (it adds
-    nothing to a dot product) and adds an exact 0.0 to a score.
+    whose decay underflows to 0.0 follows ``similarity``'s zero rule in the
+    user vectors and adds an exact 0.0 to a score.
     """
 
     def __init__(self, train: Folksonomy, t_ref: Mapping[int, int], config: RecommenderConfig) -> None:
@@ -246,11 +246,7 @@ class ExpDecayCF(_NeighborhoodRecommender):
                 post.item: len(post.tag_times) * math.exp(-(reference - post.timestamp) / config.t0_seconds)
                 for post in train.posts_of_user(user)
             }
-        vectors = {
-            user: SparseVector({item: w for item, w in row.items() if w > 0.0})
-            for user, row in self._weights.items()
-        }
-        super().__init__(train, t_ref, config, vectors)
+        super().__init__(train, t_ref, config, {user: SparseVector(row) for user, row in self._weights.items()})
 
     def scores(self, user: int, contrib: Mapping[int, List[Tuple[int, float]]]) -> Mapping[int, float]:
         weights = self._weights
@@ -266,7 +262,8 @@ class LinearDecayTagCF(_NeighborhoodRecommender):
     Each tag use is weighted by its position in the user's training window:
     0 at the earliest use, 1 at the latest, clamped from below by the
     configured floor; a user whose uses all share one timestamp keeps flat
-    weight 1. Neighbors come from cosine over these weighted profiles; the
+    weight 1. A tag weighing 0.0 follows ``similarity``'s zero rule in the
+    user vectors. Neighbors come from cosine over these weighted profiles; the
     candidates are then ranked by the summed cosine between aggregated item
     tag vectors of the candidate and of the user's own items.
     """
@@ -285,15 +282,9 @@ class LinearDecayTagCF(_NeighborhoodRecommender):
         earliest = min(ts for times in uses.values() for ts in times)
         latest = reference - 1
         span = latest - earliest
-        profile: Dict[int, float] = {}
-        for tag, times in uses.items():
-            if span > 0:
-                weight = math.fsum(max(floor, (ts - earliest) / span) for ts in times)
-            else:
-                weight = float(len(times))
-            if weight > 0.0:
-                profile[tag] = weight
-        return profile
+        if span > 0:
+            return {tag: math.fsum(max(floor, (ts - earliest) / span) for ts in times) for tag, times in uses.items()}
+        return {tag: float(len(times)) for tag, times in uses.items()}
 
     def scores(self, user: int, contrib: Mapping[int, List[Tuple[int, float]]]) -> Mapping[int, float]:
         return summed_item_cosines(self.item_vectors, self.train.items_of_user(user), contrib)

@@ -6,9 +6,10 @@ Both cosine steps of the two-step algorithms take their cosines from one
 inverted index, ``Postings``: ``Postings.top_k`` finds a user's neighbors
 (only users sharing a dimension with the target are touched, exactly the set
 with nonzero similarity), and ``summed_item_cosines`` scores a user's
-candidates against the user's own items with ``Postings.cosines``. A vector
-whose norm is 0.0 has cosine 0 with every vector. The brute-force all-pairs
-scan lives in the test suite as the oracle.
+candidates against the user's own items with ``Postings.cosines``. One rule
+covers zero: a 0.0 weight is not an entry, and a vector of norm 0.0 (empty,
+or every squared weight underflows) has cosine 0 with every vector and is
+left out. The brute-force all-pairs scan lives in the test suite as the oracle.
 
 Every dot product is rounded once: integer weights give exact integer sums,
 any other weights are summed with math.fsum, so results do not depend on the
@@ -46,9 +47,9 @@ def best_first(pairs: Iterable[Tuple[int, float]], k: Optional[int] = None) -> L
 
 
 class SparseVector:
-    """Immutable id -> weight map with positive, finite weights and a cached norm.
+    """Immutable id -> weight map with a cached norm; a 0.0 weight is left out (the module's zero rule).
 
-    A weight that is zero, negative, infinite or nan raises ``ValueError``.
+    A weight that is negative, infinite or nan raises ``ValueError``.
 
     ``integral`` is true when every weight is an integer.
     """
@@ -56,14 +57,18 @@ class SparseVector:
     __slots__ = ("ids", "weights", "norm", "integral")
 
     def __init__(self, entries: Mapping[int, float]) -> None:
-        pairs = sorted(entries.items())
+        ids: List[int] = []
+        weights: List[float] = []
         integral = True
-        for _, w in pairs:
-            if not 0.0 < w < math.inf:
-                raise ValueError(f"sparse vector weights must be positive and finite, got {w}")
-            integral = integral and float(w).is_integer()
-        self.ids: Tuple[int, ...] = tuple(i for i, _ in pairs)
-        self.weights: Tuple[float, ...] = tuple(w for _, w in pairs)
+        for i, w in sorted(entries.items()):
+            if not 0.0 <= w < math.inf:
+                raise ValueError(f"sparse vector weights must be non-negative and finite, got {w}")
+            if w:
+                ids.append(i)
+                weights.append(w)
+                integral = integral and float(w).is_integer()
+        self.ids: Tuple[int, ...] = tuple(ids)
+        self.weights: Tuple[float, ...] = tuple(weights)
         self.norm: float = math.sqrt(math.fsum(w * w for w in self.weights))
         self.integral: bool = integral
 
@@ -77,10 +82,9 @@ class SparseVector:
 class Postings:
     """Inverted index over a fixed id -> vector map: dots, cosines and top-k neighbours of a query.
 
-    A vector whose norm is 0.0 (empty, or every squared weight underflows)
-    has cosine 0 with every vector: it is left out of the index, and as a
-    query it gets no cosines. ``vectors`` and ``norms`` map every indexed id
-    to its vector and its norm. Whether the integer shortcut applies to the
+    By the module's zero rule, a vector of norm 0.0 is left out of the index
+    and as a query gets no cosines. ``vectors`` and ``norms`` map every indexed
+    id to its vector and its norm. Whether the integer shortcut applies to the
     indexed side is decided once, here.
 
     Immutable after construction; queries are safe to run concurrently.
@@ -198,8 +202,8 @@ def summed_item_cosines(
 
     Each cosine comes from ``Postings.cosines`` over one index of the owned
     items, which serves every candidate; an owned item sharing no dimension
-    with the candidate, or either of them of norm 0.0, adds an exact 0.0 and
-    is skipped.
+    with the candidate adds an exact 0.0 and is skipped, as is every pair
+    the module's zero rule gives cosine 0.
     """
     index = Postings({j: vectors[j] for j in owned})
     return {item: math.fsum(index.cosines(vectors[item]).values()) for item in candidates}
@@ -208,9 +212,10 @@ def summed_item_cosines(
 def diversity(recommended: Sequence[int], item_vectors: Mapping[int, SparseVector]) -> float:
     """Mean pairwise tag-vector cosine distance within one ranked list.
 
-    Lists with fewer than two items have no pairs and score 0. Items without
-    a tag vector, or with an empty one, count as maximally distant from
-    everything (cosine 0). Every weight must be an integer (item tag-count
+    Lists with fewer than two items have no pairs and score 0. An item
+    without a vector counts as maximally distant from everything (cosine 0),
+    as one of norm 0.0 does by the module's zero rule; neither takes a
+    position in the pass. Every weight must be an integer (item tag-count
     vectors are; any other vector raises ValueError), with every dot below
     2**53: each product and each partial dot is then an exact integer in a
     float, so the plain accumulation below is the exact dot. A cosine is
@@ -228,13 +233,13 @@ def diversity(recommended: Sequence[int], item_vectors: Mapping[int, SparseVecto
     postings: Dict[int, List[Tuple[int, float]]] = {}
     norms: List[float] = []
     distances: List[float] = []
-    for b, item in enumerate(recommended):
+    for item in recommended:
         vec = item_vectors.get(item)
-        if vec is None or not vec.ids:
-            norms.append(0.0)
+        if vec is None or not vec.norm:
             continue
         if not vec.integral:
             raise ValueError(f"diversity needs integer weights; the vector of item {item} has others")
+        b = len(norms)
         norm = vec.norm
         norms.append(norm)
         # dots[a] is the dot with earlier position a; it stays 0.0 exactly

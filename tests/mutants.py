@@ -7,8 +7,9 @@ repository to a temporary directory, applies the replacement there and runs
 those test files at a fixed hypothesis seed. A mutant whose tests all pass
 survived: a rule can break without any test noticing. The checkout itself
 is never modified. Standard library only; pytest does not collect this
-file (``tests/test_mutants.py`` checks that every old text still occurs
-exactly once in ``src/``). Run from anywhere:
+file (``tests/test_mutants.py`` checks that every old text, and every
+listed equivalent mutant's, still occurs exactly once in ``src/``). Run
+from anywhere:
 
     python3 tests/mutants.py
 
@@ -308,6 +309,54 @@ MUTANTS = (
         "        if not norm:\n            return {}\n",
         "",
         ("tests/test_similarity.py",),
+    ),
+    Mutant(
+        "top-k-keeps-zero-cosine",
+        "src/folkrec/similarity.py",
+        "pair[1] > 0.0",
+        "pair[1] >= 0.0",
+        ("tests/test_similarity.py",),
+    ),
+    Mutant(
+        "h-span-above-one",
+        "src/folkrec/recommenders.py",
+        "span > 0",
+        "span > 1",
+        ("tests/test_recommenders.py",),
+    ),
+)
+
+
+class Equivalent(NamedTuple):
+    """A surviving mutant judged equivalent to the source, for the reason given; listed, not run."""
+
+    path: str
+    old: str
+    new: str
+    reason: str
+
+
+# survivors of a generated sweep (each comparison flipped, each small
+# constant plus one, each `and` <-> `or`) over bll, split, similarity and
+# recommenders; their old texts must stay in src/, as MUTANTS' must
+EQUIVALENT = (
+    Equivalent(
+        "src/folkrec/similarity.py",
+        "c if c < 1.0 else 1.0",
+        "c if c <= 1.0 else 1.0",
+        "at c == 1.0 both branches give 1.0",
+    ),
+    Equivalent(
+        "src/folkrec/similarity.py",
+        "1.0 - c if c < 1.0 else 0.0",
+        "1.0 - c if c <= 1.0 else 0.0",
+        "at c == 1.0 both branches give 0.0",
+    ),
+    Equivalent(
+        "src/folkrec/bll.py",
+        "total >= sys.float_info.min",
+        "total > sys.float_info.min",
+        "they differ only when total is exactly float_info.min, where both paths give its log to rounding",
     ),
 )
 

@@ -25,7 +25,7 @@ from folkrec.recommenders import (
 from folkrec.split import chronological_split, reference_times
 
 from conftest import ANY_SETTING, TINY_SPLIT, assert_config_serves, folksonomy_from_rows, random_folksonomy
-from oracles import o_cosine, o_item_taggers, o_ranking, o_zheng
+from oracles import o_cosine, o_huang, o_item_taggers, o_ranking, o_zheng
 
 MINI = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "mini.tsv")
 
@@ -301,11 +301,27 @@ def test_huang_weight_endpoints():
     ]
     f = folksonomy_from_rows(rows)
     u = f.vocab.users.id_of("u")
-    profile = LinearDecayTagCF._weighted_tag_profile(f, u, reference=1001, floor=0.0)
-    by_label = {f.vocab.tags.label_of(t): w for t, w in profile.items()}
-    assert "first" not in by_label  # weight 0 at the window start is dropped
+    h = build_recommender(f, {u: 1001}, RecommenderConfig("H"))
+    by_label = {f.vocab.tags.label_of(t): w for t, w in h.index.vectors[u].items()}
+    assert "first" not in by_label  # its weight 0.0 at the window start is no entry of the user vector
     assert by_label["last"] == pytest.approx(1.0, abs=1e-12)
     assert by_label["mid"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_huang_one_second_window_weighs_uses_0_and_1():
+    # u's window spans one second, so its uses weigh 0.0 and 1.0, not a flat
+    # 1: x leaves u's vector, and v, who used only x, is no neighbour; v's
+    # and w's windows span no time, so they keep flat weights
+    rows = [("u", "a", "x", 500), ("u", "b", "y", 501), ("v", "c", "x", 500), ("w", "d", "y", 500)]
+    f = folksonomy_from_rows(rows)
+    users, tags = f.vocab.users, f.vocab.tags
+    u = users.id_of("u")
+    t_ref = {u: 502, users.id_of("v"): 501, users.id_of("w"): 501}
+    h = build_recommender(f, t_ref, RecommenderConfig("H"))
+    assert h.index.vectors[u].ids == (tags.id_of("y"),)
+    expected = o_huang(f, t_ref, u, 20, K_MAX, 0.0)
+    assert [f.vocab.items.label_of(item) for item, _ in expected] == ["d"]
+    assert list(h.recommend(u).entries) == expected
 
 
 def test_huang_degenerate_window_keeps_flat_weights():

@@ -71,17 +71,27 @@ def test_sparse_vector_basics():
 
 
 def test_sparse_vector_rejects_nonpositive_weights():
-    with pytest.raises(ValueError):
-        SparseVector({1: 0.0})
+    # a zero weight is not an entry, not an error
+    assert SparseVector({1: 0.0}).ids == ()
     with pytest.raises(ValueError):
         SparseVector({1: -2.0})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_sparse_vector_rejects_non_finite_and_nonpositive_weights(bad):
-    # nan fails every comparison, so a `w <= 0.0` check would let it through
+    if bad == 0.0:
+        assert dict(SparseVector({1: 2.0, 3: bad}).items()) == {1: 2.0}
+        return
+    # nan fails every comparison, so a `w < 0.0` check would let it through
     with pytest.raises(ValueError):
         SparseVector({1: 2.0, 3: bad})
+
+
+@given(any_weights, st.sets(st.integers(min_value=100, max_value=120)), st.sampled_from([0.0, -0.0]))
+def test_zero_weights_are_left_out(weights, zeros, zero):
+    v = SparseVector(weights)
+    padded = SparseVector({**weights, **dict.fromkeys(zeros, zero)})
+    assert (padded.ids, padded.weights, padded.norm, padded.integral) == (v.ids, v.weights, v.norm, v.integral)
 
 
 @given(finite_weights)
@@ -379,6 +389,15 @@ def test_top_k_equals_sort_everything_reference(vectors, k, data):
             index.top_k(user, k)
         return
     assert index.top_k(user, k) == sort_everything_top_k(vectors, user, k)
+
+
+def test_top_k_drops_a_neighbour_whose_dot_underflows():
+    # the two share dimension 1, but 1e-170 * 1e-170 underflows, so their dot,
+    # and so their cosine, is 0.0 although neither norm is
+    vectors = {0: SparseVector({1: 1e-170, 2: 1.0}), 1: SparseVector({1: 1e-170, 3: 1.0})}
+    index = Postings(vectors)
+    assert index.cosines(vectors[0]) == {0: 1.0, 1: 0.0}
+    assert index.top_k(0, 5) == sort_everything_top_k(vectors, 0, 5) == ()
 
 
 @given(
