@@ -14,10 +14,7 @@ from .evaluation import (
     ExperimentConfig,
     K_MAX,
     evaluate_algorithm,
-    map_at_k,
     metric_curves,
-    ndcg_at_k,
-    recall_at_k,
     run_experiment,
     write_reports,
 )
@@ -78,10 +75,7 @@ __all__ = [
     "fingerprint",
     "generate",
     "load_snapshot",
-    "map_at_k",
     "metric_curves",
-    "ndcg_at_k",
-    "recall_at_k",
     "reference_times",
     "run_experiment",
     "run_pipeline",

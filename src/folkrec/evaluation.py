@@ -68,6 +68,7 @@ def metric_curves(
     return curves
 
 
+# Not exported by the package (metric_curves is): only tests and perfbench/run.py call these.
 def ndcg_at_k(recommended: Sequence[int], relevant: Set[int], k: int) -> float:
     """Binary nDCG at k: the last entry of ``metric_curves``."""
     return metric_curves(recommended, relevant, k)[-1][0]

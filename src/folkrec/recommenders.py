@@ -63,7 +63,6 @@ class RankedList:
     from the user's training profile never appear.
     """
 
-    user: int
     entries: Tuple[Tuple[int, float], ...]
 
     def items(self) -> Tuple[int, ...]:
@@ -116,7 +115,7 @@ class Recommender:
         if not (is_integer(n) and n >= 1):
             raise ConfigError(f"n must be an integer >= 1, got {n!r}")
         # islice takes no stop above sys.maxsize, and no ranking is that long
-        return RankedList(user=user, entries=tuple(islice(self.ranking(user), min(n, sys.maxsize))))
+        return RankedList(entries=tuple(islice(self.ranking(user), min(n, sys.maxsize))))
 
 
 class MostPopular(Recommender):

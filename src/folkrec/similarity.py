@@ -9,7 +9,10 @@ with nonzero similarity), and ``summed_item_cosines`` scores a user's
 candidates against the user's own items with ``Postings.cosines``. One rule
 covers zero: a 0.0 weight is not an entry, and a vector of norm 0.0 (empty,
 or every squared weight underflows) has cosine 0 with every vector and is
-left out. The brute-force all-pairs scan lives in the test suite as the oracle.
+left out. One rule covers the top of the float range: a weight that is
+negative, infinite or nan, or weights whose squares do not sum to a finite
+float, raise ``ValueError``, so every norm is finite. The brute-force
+all-pairs scan lives in the test suite as the oracle.
 
 Every dot product is rounded once: integer weights give exact integer sums,
 any other weights are summed with math.fsum, so results do not depend on the
@@ -49,7 +52,7 @@ def best_first(pairs: Iterable[Tuple[int, float]], k: Optional[int] = None) -> L
 class SparseVector:
     """Immutable id -> weight map with a cached norm; a 0.0 weight is left out (the module's zero rule).
 
-    A weight that is negative, infinite or nan raises ``ValueError``.
+    Weights that the module's range rule rejects raise ``ValueError``.
 
     ``integral`` is true when every weight is an integer.
     """
@@ -67,13 +70,16 @@ class SparseVector:
                 ids.append(i)
                 weights.append(w)
                 integral = integral and float(w).is_integer()
+        try:
+            squares = math.fsum(w * w for w in weights)
+        except OverflowError:  # a partial sum left the float range
+            squares = math.inf
+        if squares == math.inf:
+            raise ValueError(f"sparse vector squared weights must sum to a finite float; largest weight {max(weights)}")
         self.ids: Tuple[int, ...] = tuple(ids)
         self.weights: Tuple[float, ...] = tuple(weights)
-        self.norm: float = math.sqrt(math.fsum(w * w for w in self.weights))
+        self.norm: float = math.sqrt(squares)
         self.integral: bool = integral
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
     def items(self) -> Iterable[Tuple[int, float]]:
         return zip(self.ids, self.weights)

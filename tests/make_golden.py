@@ -29,7 +29,6 @@ from folkrec.evaluation import (
     write_reports,
 )
 from folkrec.ingest import DatasetSpec, run_pipeline
-from folkrec.model import fingerprint
 from folkrec.recommenders import RecommenderConfig
 from folkrec.split import chronological_split
 
@@ -81,7 +80,7 @@ def main(out: str = os.path.join(HERE, "data", "golden")) -> None:
     split = chronological_split(folksonomy, 0.2)
     echo = _config_echo(CONFIGS, 0.2, 0, True)
     report = EvalReport(
-        dataset_fingerprint=fingerprint(folksonomy),
+        dataset_fingerprint=folksonomy.fingerprint(),
         config_hash=config_hash(echo),
         config_echo=echo,
         algorithms=tuple(oracle_algorithm_report(split, c) for c in CONFIGS),

@@ -311,6 +311,13 @@ MUTANTS = (
         ("tests/test_similarity.py",),
     ),
     Mutant(
+        "vector-norm-overflow-accepted",
+        "src/folkrec/similarity.py",
+        "if squares == math.inf:",
+        "if math.isnan(squares):",
+        ("tests/test_similarity.py",),
+    ),
+    Mutant(
         "top-k-keeps-zero-cosine",
         "src/folkrec/similarity.py",
         "pair[1] > 0.0",

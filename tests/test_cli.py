@@ -579,5 +579,11 @@ def test_every_exported_name_resolves_once():
     for name in folkrec.__all__:
         assert hasattr(folkrec, name), name
     assert not hasattr(folkrec, "TagAssignment")
+    # metric_curves is the package's one metric entry point; the per-k
+    # shortcuts stay in folkrec.evaluation only
+    assert "metric_curves" in folkrec.__all__
+    for name in ("ndcg_at_k", "map_at_k", "recall_at_k"):
+        assert not hasattr(folkrec, name), name
+        assert callable(getattr(folkrec.evaluation, name)), name
     # defined once, beside the cosine rule, and re-exported
     assert folkrec.diversity is folkrec.evaluation.diversity is folkrec.similarity.diversity

@@ -260,7 +260,7 @@ class _Stub:
         self.entries = entries
 
     def recommend(self, user, n=None):
-        return RankedList(user=user, entries=self.entries(user))
+        return RankedList(entries=self.entries(user))
 
 
 def test_leakage_guard_fires_on_corrupt_recommender():

@@ -63,7 +63,7 @@ def test_sparse_vector_basics():
     v = SparseVector({3: 2.0, 1: 1.0})
     assert v.ids == (1, 3)
     assert dict(v.items()) == {1: 1.0, 3: 2.0}
-    assert len(v) == 2
+    assert len(v.ids) == 2
     assert math.isclose(v.norm, math.sqrt(5.0), rel_tol=1e-12)
     assert v.integral
     assert not SparseVector({1: 1.0, 2: 0.5}).integral
@@ -85,6 +85,16 @@ def test_sparse_vector_rejects_non_finite_and_nonpositive_weights(bad):
     # nan fails every comparison, so a `w < 0.0` check would let it through
     with pytest.raises(ValueError):
         SparseVector({1: 2.0, 3: bad})
+
+
+@pytest.mark.parametrize("weights", [{1: 1e154, 2: 1e154}, {1: 1e200}])
+def test_sparse_vector_rejects_weights_whose_squares_overflow(weights):
+    # the first overflows in fsum's partial sum, the second in its one square;
+    # a norm of inf would read cosine 1.0 against any vector sharing a dimension
+    with pytest.raises(ValueError):
+        SparseVector(weights)
+    # just below the range the norm is finite and exact to rounding
+    assert SparseVector({1: 1e153, 2: 1e153}).norm == pytest.approx(math.sqrt(2) * 1e153, rel=1e-12)
 
 
 @given(any_weights, st.sets(st.integers(min_value=100, max_value=120)), st.sampled_from([0.0, -0.0]))
@@ -284,7 +294,7 @@ def test_item_tagger_oracle_agreement(small_folksonomy):
 
 def binary_search_dot(a, b):
     """Reference dot product: each id of the shorter vector binary-searched in the longer one."""
-    if len(a) > len(b):
+    if len(a.ids) > len(b.ids):
         a, b = b, a
     terms = []
     for ident, w in a.items():
