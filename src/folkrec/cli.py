@@ -28,7 +28,7 @@ from .bll import BllParams
 from .errors import ConfigError, EmptyDatasetError, FormatError
 from .evaluation import K_MAX, ExperimentConfig, run_experiment, write_reports
 from .ingest import DatasetSpec, load_snapshot, run_pipeline, write_snapshot
-from .model import Folksonomy
+from .model import Folksonomy, open_output
 from .recommenders import ALGORITHMS, RecommenderConfig, build_recommender
 from .split import chronological_split, reference_times, write_split
 
@@ -199,7 +199,7 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     out_dir = args.out or os.path.join(os.path.dirname(os.path.abspath(report_path)), "plotdata")
     os.makedirs(out_dir, exist_ok=True)
     for name, text in tables.items():
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as handle:
+        with open_output(os.path.join(out_dir, name)) as handle:
             handle.write(text)
     print(f"{len(tables)} series files written to {out_dir}")
     return EXIT_OK

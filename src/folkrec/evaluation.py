@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, IO, List, Mapping, Sequence, Set, Tuple
 
 from .errors import ConfigError, EmptyDatasetError, is_integer, is_number
-from .model import Folksonomy
+from .model import Folksonomy, open_output
 from .recommenders import K_MAX, RecommenderConfig, build_recommender
 from .similarity import diversity, item_tag_vectors
 from .split import SplitResult, chronological_split
@@ -328,7 +328,8 @@ def write_report_txt(report: EvalReport, stream: IO[str]) -> None:
     stream.write(f"dataset fingerprint: {report.dataset_fingerprint}\n")
     stream.write(f"config hash:         {report.config_hash}\n")
     stream.write("\n")
-    header = f"{'algorithm':<10} {'nDCG@20':>10} {'MAP@20':>10} {'Recall@20':>10} {'Diversity':>10} {'Coverage':>9}\n"
+    ndcg, map_, recall = (f"{name}@{K_MAX}" for name in ("nDCG", "MAP", "Recall"))
+    header = f"{'algorithm':<10} {ndcg:>10} {map_:>10} {recall:>10} {'Diversity':>10} {'Coverage':>9}\n"
     stream.write(header)
     stream.write("-" * (len(header) - 1) + "\n")
     for algo in report.algorithms:
@@ -381,9 +382,7 @@ def write_summary_json(report: EvalReport, stream: IO[str]) -> None:
 
 def write_reports(report: EvalReport, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8", newline="\n") as handle:
-        write_report_txt(report, handle)
-    with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8", newline="\n") as handle:
-        write_metrics_csv(report, handle)
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as handle:
-        write_summary_json(report, handle)
+    writers = {"report.txt": write_report_txt, "metrics.csv": write_metrics_csv, "summary.json": write_summary_json}
+    for name, write in writers.items():
+        with open_output(os.path.join(out_dir, name)) as handle:
+            write(report, handle)

@@ -18,17 +18,18 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fnmatch import fnmatchcase
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ConfigError, EmptyDatasetError, FormatError, is_integer, is_number
-from .model import Assignment, Folksonomy, Post, Vocab, _label_chunks, build_folksonomy, group_posts
+from .model import Assignment, Folksonomy, Post, Vocab, build_folksonomy, group_posts, write_lines
 
 # Tags auto-generated by import tooling rather than chosen by a person.
 DEFAULT_BLACKLIST = ("bibtex-import",)
 
-_SNAPSHOT_HEADER = "# folkrec snapshot v1\n"
+_SNAPSHOT_HEADER = "# folkrec snapshot v1"
 _FINGERPRINT_PREFIX = "# fingerprint="
 
 
@@ -284,23 +285,17 @@ def write_snapshot(folksonomy: Folksonomy, path: str | Path) -> None:
     """Write the canonical snapshot: stats header plus label rows in sorted order.
 
     The snapshot re-parses with the default DatasetSpec column mapping, so
-    downstream stages load it with :func:`load_snapshot`. The body is written
-    piece by piece from the sorted rows, never joined whole.
+    downstream stages load it with :func:`load_snapshot`.
     """
     rows = folksonomy.label_rows()  # caches the fingerprint the header needs
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_SNAPSHOT_HEADER)
-        fh.write(f"{_FINGERPRINT_PREFIX}{folksonomy.fingerprint()}\n")
-        fh.write(f"# {folksonomy.stats().line()}\n")
-        for chunk in _label_chunks(rows):
-            fh.write(chunk)
-            fh.write("\n")
+    header = (_SNAPSHOT_HEADER, f"{_FINGERPRINT_PREFIX}{folksonomy.fingerprint()}", f"# {folksonomy.stats().line()}")
+    write_lines(path, chain(header, rows))
 
 
 def _written_fingerprint(path: str | Path) -> Optional[str]:
     """The ``# fingerprint=`` header of a file that starts like a snapshot, else None."""
     with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline() != _SNAPSHOT_HEADER:
+        if fh.readline() != _SNAPSHOT_HEADER + "\n":
             return None
         line = fh.readline()
     return line[len(_FINGERPRINT_PREFIX) :].rstrip("\n") if line.startswith(_FINGERPRINT_PREFIX) else None

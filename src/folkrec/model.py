@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, islice
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from .errors import EmptyDatasetError
 
@@ -21,7 +22,7 @@ from .errors import EmptyDatasetError
 # are non-negative: parse checks them, and the generator's start at synth.START.
 Assignment = Tuple[int, int, int, int]
 
-# Label rows per piece when a snapshot body or its digest is streamed: few
+# Lines per piece when an output file or the fingerprint is streamed: few
 # enough that one joined piece is small, enough that the joins stay cheap.
 _CHUNK_ROWS = 4096
 
@@ -230,15 +231,27 @@ def _tag_counts(posts: Iterable[Post]) -> Dict[int, int]:
     return counts
 
 
-def _label_chunks(rows: Sequence[str]) -> Iterator[str]:
+def _label_chunks(rows: Iterable[str]) -> Iterator[str]:
     """The rows joined by newlines, in consecutive pieces of up to ``_CHUNK_ROWS`` rows.
 
     Joined by newlines in turn, the pieces give the whole text. Each piece is
     built when it is asked for, so a reader that consumes them one at a time
     holds one piece next to the rows, never the whole text.
     """
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        yield "\n".join(rows[start : start + _CHUNK_ROWS])
+    rows = iter(rows)
+    while piece := list(islice(rows, _CHUNK_ROWS)):
+        yield "\n".join(piece)
+
+
+def open_output(path: str | Path) -> TextIO:
+    """Open ``path`` for writing as every file folkrec writes: UTF-8, ``"\\n"`` line ends on every platform."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line followed by ``"\\n"`` through :func:`open_output`, piece by piece, never joined whole."""
+    with open_output(path) as fh:
+        fh.writelines(f"{chunk}\n" for chunk in _label_chunks(lines))
 
 
 def _label_digest(rows: Sequence[str]) -> str:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Dict, FrozenSet
 
 from .errors import ConfigError, EmptyDatasetError, is_number
 from .ingest import write_snapshot
-from .model import Folksonomy
+from .model import Folksonomy, write_lines
 
 
 @dataclass
@@ -81,15 +82,7 @@ def write_split(split: SplitResult, out_dir: str | Path) -> None:
         user_label = vocab.users.label_of(user)
         for item in items:
             pair_rows.append(f"{user_label}\t{vocab.items.label_of(item)}")
-    pair_rows.sort()
-    with open(out / "test.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# held-out (user, item) pairs\n")
-        for row in pair_rows:
-            fh.write(row + "\n")
-    ref_rows = sorted(
-        (vocab.users.label_of(user), ts) for user, ts in split.t_ref.items()
-    )
-    with open(out / "t_ref.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# per-user reference timestamp (seconds since epoch)\n")
-        for label, ts in ref_rows:
-            fh.write(f"{label}\t{ts}\n")
+    write_lines(out / "test.tsv", chain(("# held-out (user, item) pairs",), sorted(pair_rows)))
+    ref_rows = sorted((vocab.users.label_of(user), ts) for user, ts in split.t_ref.items())
+    ref_header = "# per-user reference timestamp (seconds since epoch)"
+    write_lines(out / "t_ref.tsv", chain((ref_header,), (f"{label}\t{ts}" for label, ts in ref_rows)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List
 
 from .errors import ConfigError, is_integer
-from .model import Assignment, Folksonomy, Vocab, build_folksonomy
+from .model import Assignment, Folksonomy, Vocab, build_folksonomy, write_lines
 
 POSTS_PER_USER = (12, 18)
 TAGS_PER_POST = (2, 4)
@@ -96,5 +96,4 @@ def generate(config: SynthConfig, seed: int) -> Folksonomy:
 
 def write_tsv(folksonomy: Folksonomy, path: str) -> None:
     """Dump as the plain 4-column input format the ingest pipeline reads, in post order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(f"{row}\n" for row in folksonomy.rows())
+    write_lines(path, folksonomy.rows())

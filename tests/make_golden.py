@@ -5,9 +5,10 @@ fixture. They are produced by the oracle implementations (rankings and
 metrics), not by the code under test; only parsing, the data model, the
 split, and the report formatting are shared. It imports the ``folkrec``
 package next to it, so it regenerates from the checkout it sits in. Run
-from anywhere:
+from anywhere; the files go to OUT_DIR if it is given, else to
+tests/data/golden/:
 
-    python3 tests/make_golden.py
+    python3 tests/make_golden.py [OUT_DIR]
 """
 
 from __future__ import annotations
@@ -90,4 +91,4 @@ def main(out: str = os.path.join(HERE, "data", "golden")) -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])

@@ -461,6 +461,13 @@ def test_plotdata_series_round_trip(workdir, capsys):
         for row in body:
             k, value = row.split(",")
             assert value == csv_rows[(algo, int(k))][metric]
+    # one series whole, bytes included: provenance header, "\n" line ends, UTF-8
+    summary = json.loads((workdir / "out" / "summary.json").read_text(encoding="utf-8"))
+    expected = (
+        f"# dataset_fingerprint={summary['dataset_fingerprint']}\n# config_hash={summary['config_hash']}\nk,value\n"
+        + "".join(f"{k},{csv_rows[('CIRTT', k)]['ndcg']}\n" for k in range(1, 21))
+    )
+    assert (plot_dir / "CIRTT_ndcg.csv").read_bytes() == expected.encode("utf-8")
 
 
 # a well-formed summary whose tag would name files outside the output directory

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -375,6 +377,17 @@ def test_workers_do_not_change_results():
             assert one == pooled, (tag, len(split.test), workers)
 
 
+def test_reports_do_not_depend_on_workers_or_algorithm_order():
+    """Each algorithm's report is the same on 1 and 3 workers and wherever it stands in the algorithm list."""
+    folksonomy, _ = _mini_split()
+    configs = [RecommenderConfig(tag) for tag in ALGORITHMS]
+    serial = run_experiment(folksonomy, ExperimentConfig(configs, workers=1))
+    pooled = run_experiment(folksonomy, ExperimentConfig(configs[::-1], workers=3))
+    assert [a.algorithm for a in serial.algorithms] == list(ALGORITHMS)
+    assert [a.algorithm for a in pooled.algorithms] == list(ALGORITHMS)[::-1]
+    assert {a.algorithm: a for a in pooled.algorithms} == {a.algorithm: a for a in serial.algorithms}
+
+
 def in_process_pool(seen):
     """Stand-in for ProcessPoolExecutor: records its size and chunking in ``seen``, runs everything here."""
 
@@ -426,6 +439,15 @@ def test_full_run_matches_oracle_golden_files(tmp_path):
 def test_golden_files_are_the_oracles_output(tmp_path):
     """tests/make_golden.py, run now, writes the checked-in golden files byte for byte."""
     write_golden_files(str(tmp_path))
+    for name in ("report.txt", "metrics.csv", "summary.json"):
+        assert (tmp_path / name).read_bytes() == Path(HERE, "data", "golden", name).read_bytes(), name
+
+
+def test_make_golden_writes_to_the_directory_it_is_given(tmp_path):
+    script = os.path.join(HERE, "make_golden.py")
+    run = subprocess.run([sys.executable, script, str(tmp_path)], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"golden files regenerated in {tmp_path}\n"
     for name in ("report.txt", "metrics.csv", "summary.json"):
         assert (tmp_path / name).read_bytes() == Path(HERE, "data", "golden", name).read_bytes(), name
 

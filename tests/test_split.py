@@ -151,3 +151,14 @@ def test_write_split_outputs(tmp_path, small_folksonomy):
     expected_pairs = sum(len(items) for items in split.test.values())
     assert len(test_lines) == expected_pairs
     assert len(tref_lines) == len(split.t_ref)
+    # the whole files, bytes included: header line, "\n" line ends, UTF-8
+    assert (out / "test.tsv").read_bytes() == b"# held-out (user, item) pairs\nalice\tr3\nbob\tr4\ncarol\tr4\ndave\tr5\n"
+    assert (out / "t_ref.tsv").read_bytes() == (
+        b"# per-user reference timestamp (seconds since epoch)\nalice\t201\nbob\t251\ncarol\t281\ndave\t401\n"
+    )
+    accented = chronological_split(folksonomy_from_rows([("zoë", "r1", "web", 1), ("zoë", "r2", "web", 2)]))
+    write_split(accented, str(tmp_path / "accented"))
+    assert (tmp_path / "accented" / "test.tsv").read_bytes() == "# held-out (user, item) pairs\nzoë\tr2\n".encode("utf-8")
+    assert (tmp_path / "accented" / "t_ref.tsv").read_bytes() == (
+        "# per-user reference timestamp (seconds since epoch)\nzoë\t2\n".encode("utf-8")
+    )
