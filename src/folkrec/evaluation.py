@@ -41,10 +41,13 @@ def metric_curves(
     1 / log2(p + 1), and each prefix sum is a fresh math.fsum of the terms a
     from-scratch computation at that k would add, so every entry equals it
     bit for bit. With no relevant items every value is 0. A k_max that is
-    not an integer >= 1 (a bool is not) raises ValueError.
+    not an integer >= 1 (a bool is not), or a list that repeats an item,
+    raises ValueError.
     """
     if not (is_integer(k_max) and k_max >= 1):
         raise ValueError(f"k must be an integer >= 1, got {k_max!r}")
+    if len(set(recommended)) != len(recommended):
+        raise ValueError("a ranked list must not repeat an item")
     if not relevant:
         return [(0.0, 0.0, 0.0)] * k_max
     n_relevant = len(relevant)

@@ -14,12 +14,15 @@ negative, infinite or nan, or weights whose squares do not sum to a finite
 float, raise ``ValueError``, so every norm is finite. The brute-force
 all-pairs scan lives in the test suite as the oracle.
 
-Every dot product is rounded once: integer weights give exact integer sums,
-any other weights are summed with math.fsum, so results do not depend on the
-order contributions happen to arrive in. Each training folksonomy's item
-vectors (binary tagger columns and tag-count vectors) are built once and
-shared by every consumer. ``diversity`` scores every pair within one
-ranked list in its own fused pass.
+Every dot product is rounded once. One rule covers exact integers: a
+vector is ``integral`` when every weight is an integer and its squares sum
+below 2**53. By Cauchy-Schwarz a dot of two integral vectors, and so each
+of its products and partial sums, is then under that bound too: an exact
+integer in a float, added as it comes. Any other dot is summed with
+math.fsum, so no result depends on the order its terms arrive in. Each
+training folksonomy's item vectors (binary tagger columns and tag-count
+vectors) are built once and shared by every consumer. ``diversity`` scores
+every pair within one ranked list in its own fused pass.
 """
 
 from __future__ import annotations
@@ -53,8 +56,7 @@ class SparseVector:
     """Immutable id -> weight map with a cached norm; a 0.0 weight is left out (the module's zero rule).
 
     Weights that the module's range rule rejects raise ``ValueError``.
-
-    ``integral`` is true when every weight is an integer.
+    ``integral`` follows the module's exact-integer rule.
     """
 
     __slots__ = ("ids", "weights", "norm", "integral")
@@ -79,7 +81,7 @@ class SparseVector:
         self.ids: Tuple[int, ...] = tuple(ids)
         self.weights: Tuple[float, ...] = tuple(weights)
         self.norm: float = math.sqrt(squares)
-        self.integral: bool = integral
+        self.integral: bool = integral and squares < 2.0**53
 
     def items(self) -> Iterable[Tuple[int, float]]:
         return zip(self.ids, self.weights)
@@ -89,22 +91,20 @@ class Postings:
     """Inverted index over a fixed id -> vector map: dots, cosines and top-k neighbours of a query.
 
     By the module's zero rule, a vector of norm 0.0 is left out of the index
-    and as a query gets no cosines. ``vectors`` and ``norms`` map every indexed
-    id to its vector and its norm. Whether the integer shortcut applies to the
-    indexed side is decided once, here.
+    and as a query gets no cosines. ``vectors`` maps every indexed id to its
+    vector. Whether the integer shortcut applies to the indexed side is
+    decided once, here.
 
     Immutable after construction; queries are safe to run concurrently.
     """
 
-    __slots__ = ("vectors", "norms", "_lists", "_integral")
+    __slots__ = ("vectors", "_lists", "_integral")
 
     def __init__(self, vectors: Mapping[int, SparseVector]) -> None:
         self.vectors: Dict[int, SparseVector] = {ident: vec for ident, vec in vectors.items() if vec.norm}
         lists: Dict[int, List[Tuple[int, float]]] = {}
-        self.norms: Dict[int, float] = {}
         integral = True
         for ident, vec in self.vectors.items():
-            self.norms[ident] = vec.norm
             integral = integral and vec.integral
             for dim, w in vec.items():
                 lists.setdefault(dim, []).append((ident, w))
@@ -116,9 +116,8 @@ class Postings:
 
         Each dot is the correctly rounded sum of its products, as
         ``math.fsum`` gives it. When the query and every indexed vector are
-        integral, each product and each partial sum is an exact integer in a
-        float, so the terms are added as they come; this holds while every
-        dot stays below 2**53.
+        integral, the module's exact-integer rule lets the terms be added as
+        they come.
         """
         lists = self._lists
         if self._integral and query.integral:
@@ -138,12 +137,12 @@ class Postings:
 
         No product is negative, so neither is a cosine. A query of norm 0.0 gets none.
         """
-        norm, norms = query.norm, self.norms
+        norm, vectors = query.norm, self.vectors
         if not norm:
             return {}
         cosines = self.dots(query)  # a fresh dict: each dot is replaced by its cosine
         for ident, dot in cosines.items():
-            c = dot / (norm * norms[ident])
+            c = dot / (norm * vectors[ident].norm)
             cosines[ident] = c if c < 1.0 else 1.0
         return cosines
 
@@ -221,11 +220,10 @@ def diversity(recommended: Sequence[int], item_vectors: Mapping[int, SparseVecto
     Lists with fewer than two items have no pairs and score 0. An item
     without a vector counts as maximally distant from everything (cosine 0),
     as one of norm 0.0 does by the module's zero rule; neither takes a
-    position in the pass. Every weight must be an integer (item tag-count
-    vectors are; any other vector raises ValueError), with every dot below
-    2**53: each product and each partial dot is then an exact integer in a
-    float, so the plain accumulation below is the exact dot. A cosine is
-    that dot over the product of the two norms, clamped at 1, as
+    position in the pass. Every vector must be integral (item tag-count
+    vectors are; any other vector raises ValueError), so by the module's
+    exact-integer rule the plain accumulation below is the exact dot. A
+    cosine is that dot over the product of the two norms, clamped at 1, as
     ``Postings.cosines`` computes it.
 
     One inverted index over the list's dimensions serves every pair: each
@@ -244,7 +242,7 @@ def diversity(recommended: Sequence[int], item_vectors: Mapping[int, SparseVecto
         if vec is None or not vec.norm:
             continue
         if not vec.integral:
-            raise ValueError(f"diversity needs integer weights; the vector of item {item} has others")
+            raise ValueError(f"diversity needs integral vectors; the vector of item {item} is not")
         b = len(norms)
         norm = vec.norm
         norms.append(norm)

@@ -311,6 +311,20 @@ MUTANTS = (
         ("tests/test_similarity.py",),
     ),
     Mutant(
+        "integral-without-the-2**53-bound",
+        "src/folkrec/similarity.py",
+        "integral and squares < 2.0**53",
+        "integral",
+        ("tests/test_similarity.py",),
+    ),
+    Mutant(
+        "metric-curves-accepts-a-repeated-item",
+        "src/folkrec/evaluation.py",
+        "if len(set(recommended)) != len(recommended):\n        raise ValueError(",
+        "if False:\n        raise ValueError(",
+        ("tests/test_evaluation.py",),
+    ),
+    Mutant(
         "vector-norm-overflow-accepted",
         "src/folkrec/similarity.py",
         "if squares == math.inf:",

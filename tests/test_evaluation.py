@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -118,6 +119,26 @@ def test_metrics_bounded_and_recall_monotone(ranking, relevant, k):
         assert recall_at_k(ranking, relevant, k) >= recall_at_k(ranking, relevant, k - 1)
 
 
+@st.composite
+def rankings_with_a_repeat(draw):
+    ranking = draw(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=20))
+    repeated = draw(st.sampled_from(ranking))
+    ranking.insert(draw(st.integers(min_value=0, max_value=len(ranking))), repeated)
+    return ranking
+
+
+@given(
+    rankings_with_a_repeat(),
+    st.sets(st.integers(min_value=0, max_value=40), max_size=10),
+    st.integers(min_value=1, max_value=25),
+)
+def test_metric_curves_rejects_a_repeated_item(ranking, relevant, k_max):
+    # a repeat would count one hit twice: [1, 1, 2] against {1} read nDCG
+    # 1.63, AP 2.0 and recall 2.0 at k = 3
+    with pytest.raises(ValueError):
+        metric_curves(ranking, relevant, k_max)
+
+
 def reference_curve_point(recommended, relevant, k):
     """(nDCG@k, AP@k, recall@k) by the per-k formulas, each computed from scratch."""
     if not relevant:
@@ -210,6 +231,9 @@ def test_diversity_rejects_a_vector_with_non_integer_weights():
     # one non-integral vector is enough, wherever it sits in the list
     with pytest.raises(ValueError):
         diversity([0, 3], {0: SparseVector({0: 1.0}), 3: SparseVector({0: 2.5})})
+    # integer weights whose squares pass 2**53 are not integral either
+    with pytest.raises(ValueError):
+        diversity([0, 3], {0: SparseVector({0: 1.0}), 3: SparseVector({0: 2.0**27})})
 
 
 def test_diversity_clamps_and_counts_disjoint_pairs_as_one():
@@ -388,6 +412,37 @@ def test_reports_do_not_depend_on_workers_or_algorithm_order():
     assert {a.algorithm: a for a in pooled.algorithms} == {a.algorithm: a for a in serial.algorithms}
 
 
+START_METHOD_RUN = """
+import multiprocessing, sys
+from folkrec.evaluation import ExperimentConfig, run_experiment, write_reports
+from folkrec.recommenders import ALGORITHMS, RecommenderConfig
+from folkrec.synth import SynthConfig, generate
+
+multiprocessing.set_start_method(sys.argv[1])
+config = ExperimentConfig([RecommenderConfig(tag) for tag in ALGORITHMS], workers=2)
+write_reports(run_experiment(generate(SynthConfig(users=60), 1), config), sys.argv[2])
+"""
+
+
+def test_reports_do_not_depend_on_the_start_method(tmp_path):
+    """Under spawn or forkserver each worker rebuilds the item-vector memo that fork inherits: same bytes."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evaluation.__file__)))
+    summaries = {}
+    for method in multiprocessing.get_all_start_methods():
+        out = tmp_path / method
+        run = subprocess.run(
+            [sys.executable, "-c", START_METHOD_RUN, method, str(out)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert run.returncode == 0, (method, run.stderr)
+        summaries[method] = (out / "summary.json").read_bytes()
+    for method, summary in summaries.items():
+        assert summary == summaries["fork"], method
+
+
 def in_process_pool(seen):
     """Stand-in for ProcessPoolExecutor: records its size and chunking in ``seen``, runs everything here."""
 
@@ -513,7 +568,8 @@ def test_report_writers_format(tmp_path):
             whole, frac = m.split(".")
             assert len(frac) == 6
     txt = (tmp_path / "report.txt").read_text()
-    assert "100.00%" in txt or "%" in txt
+    (mp_row,) = [line for line in txt.splitlines() if line.startswith("MP ")]
+    assert mp_row.endswith(f" {100.0 * report.by_algorithm('MP').coverage:>8.2f}%")
     import json
 
     payload = json.loads((tmp_path / "summary.json").read_text())

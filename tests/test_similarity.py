@@ -340,14 +340,42 @@ def test_cosines_equal_reference_cosine(indexed, query):
 def test_postings_norms_and_integer_path():
     a, b = SparseVector({1: 3.0, 2: 4.0}), SparseVector({2: 2.0, 7: 1.0})
     index = Postings({10: a, 20: b})
-    assert index.norms == {10: 5.0, 20: math.sqrt(5.0)}
+    assert {ident: vec.norm for ident, vec in index.vectors.items()} == {10: 5.0, 20: math.sqrt(5.0)}
     assert index.dots(SparseVector({2: 1.0, 9: 5.0})) == {10: 4.0, 20: 2.0}
     assert index.dots(SparseVector({2: 0.5})) == {10: 2.0, 20: 1.0}
     assert index.dots(SparseVector({5: 1.0})) == {}
-    # integer weights whose dot needs every bit of 2**53: still exact
+    # integer weights whose dot needs every bit of 2**53: their squares sum
+    # past 2**53, so they take the fsum path, and the dot is still exact
     big = float(2**26)
-    index = Postings({0: SparseVector({1: big, 2: big, 3: 1.0})})
+    indexed = SparseVector({1: big, 2: big, 3: 1.0})
+    assert not indexed.integral
+    index = Postings({0: indexed})
     assert index.dots(SparseVector({1: big, 2: big - 1.0, 3: 1.0})) == {0: float(2**53 - 2**26 + 1)}
+    # squares a little under 2**53 keep the integer path, exact at its edge
+    edge = SparseVector({1: big, 2: big - 1.0})
+    assert edge.integral
+    assert Postings({0: edge}).dots(edge) == {0: float(2**53 - 2**27 + 1)}
+    # an integral index and a query whose squares pass 2**53: a plain sum
+    # would round 2**53 + 1 down to 2**53 before the last 1 arrives
+    query = SparseVector({1: 2.0**53, 2: 1.0, 3: 1.0})
+    assert Postings({0: SparseVector({1: 1.0, 2: 1.0, 3: 1.0})}).dots(query) == {0: 2.0**53 + 2}
+
+
+large_integer_vectors = st.dictionaries(
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=1, max_value=2**40).map(float),
+    max_size=8,
+)
+
+
+@given(st.lists(large_integer_vectors, max_size=6), large_integer_vectors)
+def test_integer_dots_equal_fsum_reference(indexed, query):
+    # integer weights up to 2**40: products and sums reach far past 2**53,
+    # where only integral vectors may take the plain-sum path
+    vectors = [SparseVector(w) for w in indexed]
+    q = SparseVector(query)
+    for j, dot in Postings(dict(enumerate(vectors))).dots(q).items():
+        assert dot == binary_search_dot(q, vectors[j])
 
 
 scored_pairs = st.lists(
