@@ -111,7 +111,7 @@ def parse(spec: DatasetSpec) -> ParseResult:
     silently dropped. If more than half of the data rows are malformed the
     column mapping is almost certainly wrong and a FormatError naming the
     file and its first malformed line is raised, as it is for a file that is
-    not UTF-8 text.
+    not UTF-8 text. A leading UTF-8 byte-order mark is not part of line 1.
     """
     vocab = Vocab()
     assignments: List[Assignment] = []
@@ -133,7 +133,7 @@ def parse(spec: DatasetSpec) -> ParseResult:
     ts, ts_text = 0, None  # ts was parsed from ts_text
 
     try:
-        with open(spec.path, "r", encoding="utf-8") as fh:
+        with open(spec.path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
@@ -294,7 +294,7 @@ def write_snapshot(folksonomy: Folksonomy, path: str | Path) -> None:
 
 def _written_fingerprint(path: str | Path) -> Optional[str]:
     """The ``# fingerprint=`` header of a file that starts like a snapshot, else None."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         if fh.readline() != _SNAPSHOT_HEADER + "\n":
             return None
         line = fh.readline()

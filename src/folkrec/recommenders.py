@@ -60,7 +60,8 @@ class RankedList:
     """Ordered (item, score) recommendations for one user.
 
     Scores are non-increasing; within equal sort keys item ids ascend. Items
-    from the user's training profile never appear.
+    from the user's training profile never appear: ``Recommender.recommend``
+    raises AssertionError for a list that holds one.
     """
 
     entries: Tuple[Tuple[int, float], ...]
@@ -98,7 +99,8 @@ class RecommenderConfig:
 class Recommender:
     """Common surface: rank unseen items for one user from train data only.
 
-    An algorithm implements ``ranking``; ``recommend`` cuts it to length.
+    An algorithm implements ``ranking``; ``recommend`` cuts it to length and
+    checks that no owned item is in the cut list.
     """
 
     def __init__(self, train: Folksonomy, t_ref: Mapping[int, int], config: RecommenderConfig) -> None:
@@ -115,7 +117,12 @@ class Recommender:
         if not (is_integer(n) and n >= 1):
             raise ConfigError(f"n must be an integer >= 1, got {n!r}")
         # islice takes no stop above sys.maxsize, and no ranking is that long
-        return RankedList(entries=tuple(islice(self.ranking(user), min(n, sys.maxsize))))
+        entries = tuple(islice(self.ranking(user), min(n, sys.maxsize)))
+        # an owned item means test data leaked into training or a filter broke
+        leaked = {item for item, _ in entries}.intersection(self.train.items_of_user(user))
+        if leaked:
+            raise AssertionError(f"items {sorted(leaked)} recommended to user {user}, who has them in training data")
+        return RankedList(entries=entries)
 
 
 class MostPopular(Recommender):

@@ -57,6 +57,13 @@ MUTANTS = (
         ("tests/test_recommenders.py",),
     ),
     Mutant(
+        "recommend-serves-an-owned-item",
+        "src/folkrec/recommenders.py",
+        "if leaked:\n            raise AssertionError(",
+        "if False:\n            raise AssertionError(",
+        ("tests/test_evaluation.py",),
+    ),
+    Mutant(
         "negative-t0-accepted",
         "src/folkrec/recommenders.py",
         "0.0 < self.t0_seconds <= sys.float_info.max",

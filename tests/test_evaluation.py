@@ -28,7 +28,7 @@ from folkrec.evaluation import (
     write_reports,
 )
 from folkrec.ingest import DatasetSpec, run_pipeline
-from folkrec.recommenders import ALGORITHMS, RankedList, RecommenderConfig, build_recommender
+from folkrec.recommenders import ALGORITHMS, RankedList, Recommender, RecommenderConfig, build_recommender
 from folkrec.similarity import SparseVector, item_tagger_vectors
 from folkrec.split import SplitResult, chronological_split
 from folkrec.synth import SynthConfig, generate
@@ -289,19 +289,32 @@ class _Stub:
         return RankedList(entries=self.entries(user))
 
 
+class _Leaky(Recommender):
+    """Ranks an unseen item, then the user's first owned item: a broken filter."""
+
+    def ranking(self, user):
+        return ((9999, 2.0), (sorted(self.train.items_of_user(user))[0], 1.0))
+
+
 def test_leakage_guard_fires_on_corrupt_recommender():
     folksonomy, split = _mini_split()
-    leaky = _Stub(split.train, lambda user: ((sorted(split.train.items_of_user(user))[0], 1.0),))
+    leaky = _Leaky(split.train, split.t_ref, RecommenderConfig("MP"))
     user = sorted(split.test)[0]
+    owned = sorted(split.train.items_of_user(user))[0]
+    # recommend owns the guard, so every caller gets it, evaluation included
+    with pytest.raises(AssertionError, match=rf"items \[{owned}\] recommended to user {user}"):
+        leaky.recommend(user)
     with pytest.raises(AssertionError):
         evaluation._evaluate_user(leaky, user, split.test[user])
+    # the owned item is cut away at n=1, and the guard reads the cut list
+    assert leaky.recommend(user, 1).items() == (9999,)
 
 
 def test_duplicate_guard_fires():
     folksonomy, split = _mini_split()
     doubler = _Stub(split.train, lambda user: ((9999, 1.0), (9999, 0.5)))
     user = sorted(split.test)[0]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="must not repeat an item"):
         evaluation._evaluate_user(doubler, user, split.test[user])
 
 

@@ -475,6 +475,36 @@ def test_headerless_dump_loads_unchecked(tmp_path, small_folksonomy):
     assert loaded.fingerprint() == Folksonomy(loaded.posts, loaded.vocab).fingerprint()
 
 
+@pytest.mark.parametrize("comment", ["", "# exported by an editor\n"])
+def test_a_byte_order_mark_is_not_part_of_the_first_row(tmp_path, comment):
+    # with the mark read as text, the first user became a phantom '\ufeffalice'
+    # (U=3, not 2), and a leading comment line became malformed row 1
+    text = comment + "alice\ti1\tweb\t1\nalice\ti2\tweb\t2\nbob\ti1\tweb\t3\nbob\ti2\tcss\t4\n"
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    want, want_parsed = run_pipeline(DatasetSpec(path=plain))
+    got, got_parsed = run_pipeline(DatasetSpec(path=marked))
+    assert want.stats().users == 2
+    assert got.fingerprint() == want.fingerprint()
+    assert got.stats().line() == want.stats().line()
+    assert (got_parsed.data_rows, got_parsed.malformed) == (want_parsed.data_rows, want_parsed.malformed) == (4, [])
+
+
+def test_a_snapshot_saved_with_a_byte_order_mark_is_still_checked(tmp_path, small_folksonomy):
+    # an editor that re-saves a snapshot may prepend the mark; the header
+    # behind it still holds, so an intact copy loads and an edited one fails
+    path = tmp_path / "snap.tsv"
+    write_snapshot(small_folksonomy, path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text, encoding="utf-8-sig")
+    assert load_snapshot(path).fingerprint() == small_folksonomy.fingerprint()
+    path.write_text(_edit_last_row(text), encoding="utf-8-sig")
+    with pytest.raises(FormatError, match="does not match its header"):
+        load_snapshot(path)
+
+
 def test_snapshot_with_a_header_and_no_rows_is_empty(tmp_path, small_folksonomy):
     path = tmp_path / "snap.tsv"
     write_snapshot(small_folksonomy, path)

@@ -18,10 +18,13 @@ from folkrec.recommenders import (
     ExpDecayCF,
     LinearDecayTagCF,
     MostPopular,
+    Recommender,
     RecommenderConfig,
     UserBasedCF,
+    _NeighborhoodRecommender,
     build_recommender,
 )
+from folkrec.similarity import BINARY_ITEM, build_user_vectors
 from folkrec.split import chronological_split, reference_times
 
 from conftest import ANY_SETTING, TINY_SPLIT, assert_config_serves, folksonomy_from_rows, random_folksonomy
@@ -386,6 +389,26 @@ def test_unknown_user_gets_empty_list():
     for tag in ("CF_B", "CF_T", "Z", "H", "CIRTT"):
         recommender = build_recommender(f, t_ref, RecommenderConfig(tag))
         assert recommender.recommend(10_000).entries == ()
+
+
+class _NoRanking(Recommender):
+    """An algorithm that forgot its ``ranking``."""
+
+
+class _NoScores(_NeighborhoodRecommender):
+    """A CF-family algorithm that forgot its ``scores``."""
+
+
+def test_an_algorithm_without_its_step_raises_not_implemented():
+    split = TINY_SPLIT
+    train, config = split.train, RecommenderConfig("CF_B")
+    user = sorted(split.test)[0]
+    for recommender in (
+        _NoRanking(train, split.t_ref, config),
+        _NoScores(train, split.t_ref, config, build_user_vectors(train, BINARY_ITEM)),
+    ):
+        with pytest.raises(NotImplementedError):
+            recommender.recommend(user)
 
 
 @pytest.mark.parametrize("tag", ["Z", "H", "CIRTT"])
