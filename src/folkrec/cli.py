@@ -172,7 +172,8 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     if os.path.isdir(report_path):
         report_path = os.path.join(report_path, "summary.json")
     try:
-        with open(report_path, "r", encoding="utf-8") as handle:
+        # a report re-saved by an editor may start with a UTF-8 byte-order mark
+        with open(report_path, "r", encoding="utf-8-sig") as handle:
             payload = json.load(handle)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise FormatError(f"report {report_path} is not JSON: {exc}") from None
@@ -217,7 +218,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     vocab = folksonomy.vocab
     user = vocab.users.lookup()(args.user)
     # the vocabulary keeps the labels of users preprocessing dropped; they hold no post
-    if user is None or not folksonomy.posts_of_user(user):
+    if user is None or not folksonomy.items_of_user(user):
         raise ConfigError(f"unknown user label {args.user!r}")
     # production mode trains on everything, so t_ref comes from the whole folksonomy
     recommender = build_recommender(folksonomy, reference_times(folksonomy), algo_config)

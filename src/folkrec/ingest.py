@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ConfigError, EmptyDatasetError, FormatError, is_integer, is_number
-from .model import Assignment, Folksonomy, Post, Vocab, build_folksonomy, group_posts, write_lines
+from .model import MAX_TIMESTAMP, Assignment, Folksonomy, PostColumns, Vocab, build_folksonomy, group_posts, write_lines
 
 # Tags auto-generated by import tooling rather than chosen by a person.
 DEFAULT_BLACKLIST = ("bibtex-import",)
@@ -164,6 +164,8 @@ def parse(spec: DatasetSpec) -> ParseResult:
                         parsed_ts = math.floor(float(raw_ts)) if epoch else _parse_iso8601(raw_ts)
                         if parsed_ts < 0:
                             raise ValueError("timestamp before epoch")
+                        if parsed_ts > MAX_TIMESTAMP:
+                            raise ValueError("timestamp past 2**63 - 1 seconds")
                     except (ValueError, OverflowError) as exc:
                         malformed.append((lineno, f"bad timestamp {raw_ts!r}: {exc}"))
                         continue
@@ -235,13 +237,13 @@ def _drawn_users(users: Iterable[int], fraction: float, seed: int) -> Optional[S
     return set(random.Random(seed).sample(ordered, keep))
 
 
-def _shared_item_posts(posts: Sequence[Post]) -> List[Post]:
+def _shared_item_posts(posts: PostColumns) -> PostColumns:
     """The posts on items that more than one user bookmarked, counted once."""
-    taggers = Counter(post.item for post in posts)  # one post per (user, item)
-    kept = [post for post in posts if taggers[post.item] > 1]
-    if not kept:
+    taggers = Counter(posts.item)  # one post per (user, item)
+    keep = [taggers[item] > 1 for item in posts.item]
+    if not any(keep):
         raise EmptyDatasetError("no items with more than one tagger; nothing left after filtering")
-    return kept
+    return posts.select(keep)
 
 
 def sample_users(folksonomy: Folksonomy, fraction: float, seed: int) -> Folksonomy:
@@ -249,7 +251,8 @@ def sample_users(folksonomy: Folksonomy, fraction: float, seed: int) -> Folksono
     drawn = _drawn_users(folksonomy.users(), fraction, seed)
     if drawn is None:
         return folksonomy
-    return Folksonomy([post for post in folksonomy.posts if post.user in drawn], folksonomy.vocab)
+    columns = folksonomy.columns
+    return Folksonomy(columns.select([user in drawn for user in columns.user]), folksonomy.vocab)
 
 
 def remove_unique_resources(folksonomy: Folksonomy) -> Folksonomy:
@@ -259,7 +262,7 @@ def remove_unique_resources(folksonomy: Folksonomy) -> Folksonomy:
     one stay in, and items whose tagger count drops to one because of user
     sampling upstream are judged on the counts seen here, once.
     """
-    return Folksonomy(_shared_item_posts(folksonomy.posts), folksonomy.vocab)
+    return Folksonomy(_shared_item_posts(folksonomy.columns), folksonomy.vocab)
 
 
 def run_pipeline(spec: DatasetSpec) -> Tuple[Folksonomy, ParseResult]:

@@ -10,9 +10,11 @@ downstream (similarity search, recommending, evaluation) reads the immutable
 from __future__ import annotations
 
 import hashlib
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby, islice
-from operator import itemgetter
+from itertools import accumulate, chain, compress, groupby, islice
+from operator import itemgetter, sub
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, TextIO, Tuple
 
@@ -21,6 +23,9 @@ from .errors import EmptyDatasetError
 # One tag assignment as interned ids: (user, item, tag, timestamp). Timestamps
 # are non-negative: parse checks them, and the generator's start at synth.START.
 Assignment = Tuple[int, int, int, int]
+
+# The largest timestamp a time column holds (a signed 64-bit integer).
+MAX_TIMESTAMP = 2**63 - 1
 
 # Lines per piece when an output file or the fingerprint is streamed: few
 # enough that one joined piece is small, enough that the joins stay cheap.
@@ -83,7 +88,8 @@ class Post(NamedTuple):
     holds at least one (tag, timestamp) entry, one per distinct tag with its
     earliest use, tag ids ascending. ``timestamp`` is the earliest of those
     times (the bookmark's creation). An immutable named tuple: it unpacks and
-    compares like a plain tuple.
+    compares like a plain tuple. A folksonomy stores its posts as
+    :class:`PostColumns` and builds ``Post`` values only when asked for them.
     """
 
     user: int
@@ -94,6 +100,81 @@ class Post(NamedTuple):
     @property
     def tags(self) -> Tuple[int, ...]:
         return tuple(t for t, _ in self.tag_times)
+
+
+class PostColumns:
+    """Posts sorted by (user, item), stored as flat columns that keep the :class:`Post` contract.
+
+    Post ``p`` is ``user[p]``, ``item[p]`` and ``timestamp[p]``; its tag uses
+    are ``tag[k]`` with time ``time[k]`` for ``k`` in ``start[p]:start[p + 1]``
+    (:meth:`uses`), so ``start`` holds one more entry than there are posts.
+    The arrays hold no Python object per entry: the cyclic GC never walks
+    them, a forked process shares their pages and a pickle copies their bytes.
+    Never mutated once built.
+    """
+
+    __slots__ = ("user", "item", "timestamp", "start", "tag", "time")
+
+    def __init__(self, user: array, item: array, timestamp: array, start: array, tag: array, time: array) -> None:
+        self.user, self.item, self.timestamp, self.start, self.tag, self.time = user, item, timestamp, start, tag, time
+
+    @classmethod
+    def of_posts(cls, posts: Iterable[Post]) -> PostColumns:
+        """Columns holding ``posts``, put in (user, item) order."""
+        ordered = sorted(posts, key=itemgetter(0, 1))
+        start, tag, time = array("q", [0]), array("i"), array("q")
+        for post in ordered:
+            tag.extend([t for t, _ in post.tag_times])
+            time.extend([ts for _, ts in post.tag_times])
+            start.append(len(tag))
+        return cls(
+            array("i", [p.user for p in ordered]),
+            array("i", [p.item for p in ordered]),
+            array("q", [p.timestamp for p in ordered]),
+            start,
+            tag,
+            time,
+        )
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def __iter__(self) -> Iterator[Post]:
+        return map(self.post, range(len(self.user)))
+
+    def uses(self, first: int, stop: int) -> slice:
+        """Where the tag uses of posts ``first`` to ``stop - 1`` lie in ``tag`` and ``time``."""
+        return slice(self.start[first], self.start[stop])
+
+    def sizes(self) -> Iterator[int]:
+        """The number of tag uses of each post, in post order."""
+        return map(sub, self.start[1:], self.start[:-1])
+
+    def post(self, p: int) -> Post:
+        """Post ``p`` as a :class:`Post` value."""
+        uses = self.uses(p, p + 1)
+        return Post(self.user[p], self.item[p], self.timestamp[p], tuple(zip(self.tag[uses], self.time[uses])))
+
+    def select(self, keep: Sequence[bool]) -> PostColumns:
+        """New columns holding each post ``p`` for which ``keep[p]`` is true, in order.
+
+        The kept posts are copied a run of consecutive posts at a time; the
+        filters keep most posts, in long runs.
+        """
+        selected = PostColumns(array("i"), array("i"), array("q"), array("q"), array("i"), array("q"))
+        first = 0
+        for kept, run in groupby(keep):
+            stop = first + len(list(run))
+            if kept:
+                selected.user += self.user[first:stop]
+                selected.item += self.item[first:stop]
+                selected.timestamp += self.timestamp[first:stop]
+                uses = self.uses(first, stop)
+                selected.tag += self.tag[uses]
+                selected.time += self.time[uses]
+            first = stop
+        selected.start = array("q", accumulate(compress(self.sizes(), keep), initial=0))
+        return selected
 
 
 @dataclass(frozen=True)
@@ -116,44 +197,69 @@ class Stats:
 class Folksonomy:
     """Immutable store of posts, indexed by user and by item.
 
-    ``posts`` keep the :class:`Post` contract, so every user listed has a tag
-    use; they hold at most one post per (user, item), sorted by (user, item)
-    as :func:`build_folksonomy` leaves them, which the accessors and the
-    filters that keep a subset of another folksonomy's posts rely on. Tag
-    statistics (counts, use times, the number of distinct tags) are derived
-    from the posts when read. Safe for concurrent reads; never mutated.
+    The posts keep the :class:`Post` contract, so every user listed has a tag
+    use; they hold at most one post per (user, item), sorted by (user, item),
+    which the indexes rely on. They are kept as :class:`PostColumns`
+    (``columns``); ``posts``, ``posts_of_user`` and ``posts_of_item`` build
+    ``Post`` values on demand. A user's posts are one range of post numbers
+    (:meth:`post_range`); an item's are listed by a counting sort of the post
+    numbers. Tag statistics (counts, use times, the number of distinct tags)
+    are derived from the columns when read. Safe for concurrent reads; never
+    mutated.
     """
 
-    def __init__(self, posts: Sequence[Post], vocab: Vocab) -> None:
-        self.posts: Tuple[Post, ...] = tuple(posts)
+    def __init__(self, posts: PostColumns | Sequence[Post], vocab: Vocab) -> None:
+        self.columns = posts if isinstance(posts, PostColumns) else PostColumns.of_posts(posts)
         self.vocab = vocab
         self._build_indexes()
         self._fingerprint: str | None = None
 
     def _build_indexes(self) -> None:
-        user_posts: Dict[int, List[Post]] = {}
-        item_posts: Dict[int, List[Post]] = {}
-        for post in self.posts:
-            user_posts.setdefault(post.user, []).append(post)
-            item_posts.setdefault(post.item, []).append(post)
-        self._user_posts: Dict[int, Tuple[Post, ...]] = {u: tuple(ps) for u, ps in user_posts.items()}
-        self._user_items: Dict[int, Tuple[int, ...]] = {u: tuple([p.item for p in ps]) for u, ps in user_posts.items()}
-        self._item_posts: Dict[int, Tuple[Post, ...]] = {i: tuple(ps) for i, ps in item_posts.items()}
+        columns = self.columns
+        self._user_start = _offsets(columns.user)
+        self._item_start = _offsets(columns.item)
+        # post numbers and their users by item: a stable counting sort, so each item's posts stay in user order
+        fill = self._item_start.tolist()
+        by_item, taggers = array("i", bytes(4 * len(columns))), array("i", bytes(4 * len(columns)))
+        for p, (user, item) in enumerate(zip(columns.user, columns.item)):
+            slot = fill[item]
+            by_item[slot], taggers[slot] = p, user
+            fill[item] = slot + 1
+        self._item_posts = by_item
+        # the cached id tuples share one int object per id
+        user_ids, item_ids = list(range(len(self._user_start) - 1)), list(range(len(self._item_start) - 1))
+        self._user_items = _id_tuples(self._user_start, columns.item, item_ids)
+        self._item_users = _id_tuples(self._item_start, taggers, user_ids)
 
     # -- accessors ---------------------------------------------------------
 
+    @property
+    def posts(self) -> Tuple[Post, ...]:
+        """Every post as a :class:`Post` value, in (user, item) order, built on each read."""
+        return tuple(self.columns)
+
     def users(self) -> List[int]:
         """Ids of users with at least one post, ascending."""
-        return sorted(self._user_posts)
+        return list(self._user_items)
 
     def items(self) -> List[int]:
-        return sorted(self._item_posts)
+        """Ids of items with at least one post, ascending."""
+        return _present(self._item_start)
+
+    def post_range(self, user: int) -> range:
+        """Numbers of the user's posts in ``columns`` (posts are user-sorted)."""
+        return range(*_span(self._user_start, user))
+
+    def user_uses(self, user: int) -> slice:
+        """Where the user's tag uses lie in ``columns.tag`` and ``columns.time``, in post order."""
+        return self.columns.uses(*_span(self._user_start, user))
 
     def posts_of_user(self, user: int) -> Tuple[Post, ...]:
-        return self._user_posts.get(user, ())
+        return tuple([*map(self.columns.post, self.post_range(user))])
 
     def posts_of_item(self, item: int) -> Tuple[Post, ...]:
-        return self._item_posts.get(item, ())
+        lo, hi = _span(self._item_start, item)
+        return tuple([*map(self.columns.post, self._item_posts[lo:hi])])
 
     def items_of_user(self, user: int) -> Tuple[int, ...]:
         """Items the user has bookmarked, ascending (posts are item-sorted)."""
@@ -161,31 +267,34 @@ class Folksonomy:
 
     def taggers_of_item(self, item: int) -> Tuple[int, ...]:
         """Users who bookmarked the item, ascending (posts are user-sorted)."""
-        return tuple([p.user for p in self._item_posts.get(item, ())])
+        return self._item_users.get(item, ())
 
     def user_tag_counts(self, user: int) -> Mapping[int, int]:
         """tag -> number of the user's posts carrying that tag."""
-        return _tag_counts(self._user_posts.get(user, ()))
+        return Counter(self.columns.tag[self.user_uses(user)])
 
     def item_tag_counts(self, item: int) -> Mapping[int, int]:
         """tag -> number of posts on this item carrying that tag."""
-        return _tag_counts(self._item_posts.get(item, ()))
+        lo, hi = _span(self._item_start, item)
+        tag, uses = self.columns.tag, self.columns.uses
+        return Counter(chain.from_iterable([tag[uses(p, p + 1)] for p in self._item_posts[lo:hi]]))
 
     def tag_use_times(self, user: int) -> Dict[int, List[int]]:
         """tag -> timestamps of the user's uses of that tag, in post order."""
+        span = self.user_uses(user)
         uses: Dict[int, List[int]] = {}
-        for post in self._user_posts.get(user, ()):
-            for tag, ts in post.tag_times:
-                uses.setdefault(tag, []).append(ts)
+        for tag, ts in zip(self.columns.tag[span], self.columns.time[span]):
+            uses.setdefault(tag, []).append(ts)
         return uses
 
     def stats(self) -> Stats:
+        columns = self.columns
         return Stats(
-            bookmarks=len(self.posts),
-            users=len(self._user_posts),
-            resources=len(self._item_posts),
-            tags=len(_tag_counts(self.posts)),
-            assignments=sum(len(p.tag_times) for p in self.posts),
+            bookmarks=len(columns),
+            users=len(self._user_items),
+            resources=len(self.items()),
+            tags=len(set(columns.tag)),
+            assignments=len(columns.tag),
         )
 
     def rows(self) -> Iterator[str]:
@@ -195,9 +304,11 @@ class Folksonomy:
         sorted, the snapshot body.
         """
         user_of, item_of, tag_of = self.vocab.users.label_of, self.vocab.items.label_of, self.vocab.tags.label_of
-        for post in self.posts:
-            user, item = user_of(post.user), item_of(post.item)
-            for tag, ts in post.tag_times:
+        columns = self.columns
+        uses = zip(columns.tag, columns.time)
+        for user, item, size in zip(columns.user, columns.item, columns.sizes()):
+            user, item = user_of(user), item_of(item)
+            for tag, ts in islice(uses, size):
                 yield f"{user}\t{item}\t{tag_of(tag)}\t{ts}"
 
     def label_rows(self) -> List[str]:
@@ -222,13 +333,34 @@ class Folksonomy:
         return self._fingerprint
 
 
-def _tag_counts(posts: Iterable[Post]) -> Dict[int, int]:
-    """tag -> number of the posts carrying that tag."""
-    counts: Dict[int, int] = {}
-    for post in posts:
-        for tag, _ in post.tag_times:
-            counts[tag] = counts.get(tag, 0) + 1
-    return counts
+def _offsets(ids: array) -> array:
+    """Per id k, where the entries equal to k begin: they lie in ``offsets[k]:offsets[k + 1]`` of ``ids`` sorted."""
+    counts = [0] * (max(ids, default=-1) + 2)
+    for k in ids:
+        counts[k + 1] += 1
+    return array("q", accumulate(counts))
+
+
+def _span(offsets: array, ident: int) -> Tuple[int, int]:
+    """``offsets[ident]``, ``offsets[ident + 1]``; an empty span for an id outside the offsets."""
+    if 0 <= ident < len(offsets) - 1:
+        return offsets[ident], offsets[ident + 1]
+    return 0, 0
+
+
+def _id_tuples(offsets: array, values: array, ids: List[int]) -> Dict[int, Tuple[int, ...]]:
+    """Per id k with a non-empty span, ``values[offsets[k]:offsets[k + 1]]`` as a tuple of the ``ids`` ints.
+
+    Each tuple is copied from a list: a tuple built from an iterator of
+    unknown length is reallocated as it grows, and doing that for every id
+    of every build fragments the heap, so a process's peak memory creeps up.
+    """
+    return {k: tuple([*map(ids.__getitem__, values[offsets[k] : offsets[k + 1]])]) for k in _present(offsets)}
+
+
+def _present(offsets: array) -> List[int]:
+    """The ids with a non-empty span, ascending."""
+    return [k for k in range(len(offsets) - 1) if offsets[k] != offsets[k + 1]]
 
 
 def _label_chunks(rows: Iterable[str]) -> Iterator[str]:
@@ -265,7 +397,7 @@ def _label_digest(rows: Sequence[str]) -> str:
     return digest.hexdigest()
 
 
-def group_posts(assignments: Iterable[Assignment]) -> List[Post]:
+def group_posts(assignments: Iterable[Assignment]) -> PostColumns:
     """Group (user, item, tag, timestamp) rows into posts sorted by (user, item).
 
     Rows sharing (user, item) merge into one post whose timestamp is the
@@ -275,18 +407,27 @@ def group_posts(assignments: Iterable[Assignment]) -> List[Post]:
 
     One sort does the grouping: in (user, item, tag, timestamp) order a
     post's rows are adjacent, its tags ascend, and the first row of each tag
-    is that tag's earliest use.
+    is that tag's earliest use. The rows go straight into the columns.
     """
-    posts: List[Post] = []
-    for (user, item), rows in groupby(sorted(assignments), itemgetter(0, 1)):
-        tag_times: List[Tuple[int, int]] = []
-        last_tag = None
-        for _, _, tag, ts in rows:
-            if tag != last_tag:
-                tag_times.append((tag, ts))
-                last_tag = tag
-        posts.append(Post(user, item, min(map(itemgetter(1), tag_times)), tuple(tag_times)))
-    return posts
+    users, items, stamps, start = array("i"), array("i"), array("q"), array("q")
+    tags, times = array("i"), array("q")
+    last_user = last_item = last_tag = None
+    for user, item, tag, ts in sorted(assignments):
+        if item != last_item or user != last_user:  # the first row of a new post
+            start.append(len(tags))
+            users.append(user)
+            items.append(item)
+            stamps.append(ts)
+            last_user, last_item = user, item
+        elif tag == last_tag:  # a later use of a tag the post already has
+            continue
+        elif ts < stamps[-1]:
+            stamps[-1] = ts
+        tags.append(tag)
+        times.append(ts)
+        last_tag = tag
+    start.append(len(tags))
+    return PostColumns(users, items, stamps, start, tags, times)
 
 
 def build_folksonomy(assignments: Iterable[Assignment], vocab: Vocab) -> Folksonomy:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -130,9 +131,8 @@ class MostPopular(Recommender):
 
     def __init__(self, train: Folksonomy, t_ref: Mapping[int, int], config: RecommenderConfig) -> None:
         super().__init__(train, t_ref, config)
-        self._by_popularity = tuple(
-            best_first((item, float(len(train.posts_of_item(item)))) for item in train.items())
-        )
+        # one post per (user, item), so an item's posts count its bookmarks
+        self._by_popularity = tuple(best_first((item, float(n)) for item, n in Counter(train.columns.item).items()))
 
     def ranking(self, user: int) -> Iterable[Tuple[int, float]]:
         owned = set(self.train.items_of_user(user))
@@ -245,12 +245,14 @@ class ExpDecayCF(_NeighborhoodRecommender):
     """
 
     def __init__(self, train: Folksonomy, t_ref: Mapping[int, int], config: RecommenderConfig) -> None:
+        columns = train.columns
+        item, timestamp, n_tags = columns.item, columns.timestamp, list(columns.sizes())
         self._weights: Dict[int, Dict[int, float]] = {}
         for user in train.users():
             reference = t_ref[user]
             self._weights[user] = {
-                post.item: len(post.tag_times) * math.exp(-(reference - post.timestamp) / config.t0_seconds)
-                for post in train.posts_of_user(user)
+                item[p]: n_tags[p] * math.exp(-(reference - timestamp[p]) / config.t0_seconds)
+                for p in train.post_range(user)
             }
         super().__init__(train, t_ref, config, {user: SparseVector(row) for user, row in self._weights.items()})
 

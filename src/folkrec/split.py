@@ -38,10 +38,8 @@ def reference_times(folksonomy: Folksonomy) -> Dict[int, int]:
     Over assignment times, not post times: a post carries its earliest time,
     and recencies must stay strictly positive for every tag use.
     """
-    return {
-        user: max(ts for post in folksonomy.posts_of_user(user) for _, ts in post.tag_times) + 1
-        for user in folksonomy.users()
-    }
+    time = folksonomy.columns.time
+    return {user: max(time[folksonomy.user_uses(user)]) + 1 for user in folksonomy.users()}
 
 
 def chronological_split(folksonomy: Folksonomy, test_fraction: float = 0.2) -> SplitResult:
@@ -57,17 +55,22 @@ def chronological_split(folksonomy: Folksonomy, test_fraction: float = 0.2) -> S
     """
     if not (is_number(test_fraction) and 0.0 < test_fraction < 1.0):
         raise ConfigError(f"test_fraction must be a number in (0, 1), got {test_fraction!r}")
+    columns = folksonomy.columns
+    timestamp, item = columns.timestamp, columns.item
     test: Dict[int, FrozenSet[int]] = {}
+    train_posts = [True] * len(columns)  # per post, whether train keeps it
     for user in folksonomy.users():
-        posts = sorted(folksonomy.posts_of_user(user), key=lambda p: (p.timestamp, p.item))
+        posts = sorted(folksonomy.post_range(user), key=lambda p: (timestamp[p], item[p]))
         n = len(posts)
         if n >= 2:
             n_test = min(n - 1, max(1, math.floor(round(test_fraction * n, 9))))
-            test[user] = frozenset(p.item for p in posts[n - n_test :])
-    train_posts = [p for p in folksonomy.posts if p.item not in test.get(p.user, ())]
-    if not train_posts:
+            held = posts[n - n_test :]
+            test[user] = frozenset(item[p] for p in held)
+            for p in held:
+                train_posts[p] = False
+    if not any(train_posts):
         raise EmptyDatasetError("no training posts after splitting")
-    train = Folksonomy(train_posts, folksonomy.vocab)
+    train = Folksonomy(columns.select(train_posts), folksonomy.vocab)
     return SplitResult(train=train, test=test, t_ref=reference_times(train))
 
 

@@ -292,16 +292,23 @@ MUTANTS = (
     Mutant(
         "empty-split-accepted",
         "src/folkrec/split.py",
-        "    if not train_posts:\n",
+        "    if not any(train_posts):\n",
         "    if False:\n",
         ("tests/test_split.py",),
     ),
     Mutant(
         "unique-resources-kept",
         "src/folkrec/ingest.py",
-        "taggers[post.item] > 1",
-        "taggers[post.item] >= 1",
+        "taggers[item] > 1",
+        "taggers[item] >= 1",
         ("tests/test_ingest.py",),
+    ),
+    Mutant(
+        "post-use-range-shifted-by-one",
+        "src/folkrec/model.py",
+        "return slice(self.start[first], self.start[stop])",
+        "return slice(self.start[first] + 1, self.start[stop] + 1)",
+        ("tests/test_model.py",),
     ),
     Mutant(
         "zero-norm-vectors-indexed",

@@ -8,12 +8,66 @@ similarity, activation, recommendation, or metric code is reused.
 
 from __future__ import annotations
 
+import hashlib
 import math
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from folkrec.model import Folksonomy
+from folkrec.model import Folksonomy, Post, Stats, Vocab
 
 Vec = Dict[int, float]
+
+
+def o_folksonomy(posts: Sequence[Post], vocab: Vocab, users: Iterable[int], items: Iterable[int]) -> dict:
+    """What each ``Folksonomy`` accessor answers for these posts, asked about the given user and item ids.
+
+    Computed from the ``Post`` values alone by filtering the whole list per
+    question, so the answers do not depend on how a folksonomy stores or
+    indexes its posts. ``posts`` must keep the post contract and be sorted
+    by (user, item), as a folksonomy's are.
+    """
+    users, items = list(users), list(items)
+
+    def counts(selected: Sequence[Post]) -> Dict[int, int]:
+        out: Dict[int, int] = {}
+        for post in selected:
+            for tag, _ in post.tag_times:
+                out[tag] = out.get(tag, 0) + 1
+        return out
+
+    def uses(user: int) -> Dict[int, List[int]]:
+        out: Dict[int, List[int]] = {}
+        for post in posts:
+            if post.user == user:
+                for tag, ts in post.tag_times:
+                    out.setdefault(tag, []).append(ts)
+        return out
+
+    of_user = {u: tuple(p for p in posts if p.user == u) for u in users}
+    of_item = {i: tuple(p for p in posts if p.item == i) for i in items}
+    label = (vocab.users.label_of, vocab.items.label_of, vocab.tags.label_of)
+    rows = [
+        f"{label[0](p.user)}\t{label[1](p.item)}\t{label[2](tag)}\t{ts}" for p in posts for tag, ts in p.tag_times
+    ]
+    return {
+        "users": sorted({p.user for p in posts}),
+        "items": sorted({p.item for p in posts}),
+        "posts_of_user": of_user,
+        "posts_of_item": of_item,
+        "items_of_user": {u: tuple(p.item for p in of_user[u]) for u in users},
+        "taggers_of_item": {i: tuple(p.user for p in of_item[i]) for i in items},
+        "user_tag_counts": {u: counts(of_user[u]) for u in users},
+        "item_tag_counts": {i: counts(of_item[i]) for i in items},
+        "tag_use_times": {u: uses(u) for u in users},
+        "stats": Stats(
+            bookmarks=len(posts),
+            users=len({p.user for p in posts}),
+            resources=len({p.item for p in posts}),
+            tags=len({tag for p in posts for tag, _ in p.tag_times}),
+            assignments=sum(len(p.tag_times) for p in posts),
+        ),
+        "rows": rows,
+        "fingerprint": hashlib.sha256("\n".join(sorted(rows)).encode("utf-8")).hexdigest(),
+    }
 
 
 def o_cosine(a: Vec, b: Vec) -> float:

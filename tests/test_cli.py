@@ -470,6 +470,21 @@ def test_plotdata_series_round_trip(workdir, capsys):
     assert (plot_dir / "CIRTT_ndcg.csv").read_bytes() == expected.encode("utf-8")
 
 
+def test_plotdata_reads_a_report_with_a_byte_order_mark(tmp_path, capsys):
+    golden = os.path.join(HERE, "data", "golden", "summary.json")
+    with open(golden, "rb") as fh:
+        text = fh.read()
+    for name, head in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "summary.json").write_bytes(head + text)
+        assert run_cli("plotdata", tmp_path / name) == EXIT_OK
+    plain, bom = tmp_path / "plain" / "plotdata", tmp_path / "bom" / "plotdata"
+    files = sorted(os.listdir(plain))
+    assert len(files) == 18 and sorted(os.listdir(bom)) == files
+    for name in files:
+        assert (bom / name).read_bytes() == (plain / name).read_bytes()
+
+
 # a well-formed summary whose tag would name files outside the output directory
 ESCAPING_SUMMARY = json.dumps(
     {

@@ -101,6 +101,17 @@ def test_timestamp_before_epoch_is_a_malformed_row(tmp_path, fmt, valid, before_
     ]
 
 
+def test_timestamp_past_the_time_column_is_a_malformed_row(tmp_path):
+    # a folksonomy's time columns hold signed 64-bit values, so a later time could not be stored
+    path = tmp_path / "d.tsv"
+    largest = 2**63 - 1024  # the largest float below 2**63, as epoch text is read through a float
+    write_rows(path, [("u1", "i1", "web", largest), ("u2", "i1", "web", "1e19"), ("u2", "i2", "css", 100)])
+    parsed = parse(DatasetSpec(path=str(path)))
+    assert parsed.malformed == [(2, "bad timestamp '1e19': timestamp past 2**63 - 1 seconds")]
+    folksonomy = build_folksonomy(parsed.assignments, parsed.vocab)
+    assert [post.timestamp for post in folksonomy.posts] == [largest, 100]
+
+
 def test_mostly_malformed_file_raises_format_error(tmp_path):
     path = tmp_path / "d.tsv"
     with open(path, "w") as fh:
@@ -749,6 +760,8 @@ def _reference_timestamp(raw, fmt):
         ts = math.floor(dt.timestamp())
     if ts < 0:
         raise ValueError("timestamp before epoch")
+    if ts >= 2**63:
+        raise ValueError("timestamp past 2**63 - 1 seconds")
     return ts
 
 

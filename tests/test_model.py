@@ -1,18 +1,22 @@
 """Data model: post merging, interning, indexes, fingerprints."""
 
+import gc
 import pickle
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from folkrec.errors import EmptyDatasetError
+from folkrec.ingest import remove_unique_resources, sample_users
 from folkrec.model import Folksonomy, Post, Vocab, build_folksonomy, fingerprint, group_posts
-from folkrec.synth import write_tsv
+from folkrec.split import chronological_split
+from folkrec.synth import SynthConfig, generate, write_tsv
 
 from conftest import folksonomy_from_rows, random_folksonomy, random_rows
+from oracles import o_folksonomy
 
 
 def test_assignments_with_equal_user_item_merge_into_one_post():
@@ -77,12 +81,12 @@ def test_folksonomy_pickles_with_the_same_fingerprint(small_folksonomy):
 
 def test_group_posts_merges_rows_and_sorts_by_user_item():
     rows = [(1, 0, 7, 300), (0, 2, 5, 200), (1, 0, 3, 100), (1, 0, 7, 50), (0, 1, 5, 400)]
-    assert group_posts(rows) == [
+    assert list(group_posts(rows)) == [
         Post(0, 1, 400, ((5, 400),)),
         Post(0, 2, 200, ((5, 200),)),
         Post(1, 0, 50, ((3, 100), (7, 50))),
     ]
-    assert group_posts([]) == []
+    assert list(group_posts([])) == []
 
 
 def _reference_group_posts(assignments):
@@ -133,8 +137,8 @@ def _vocab_for(rows):
 @settings(max_examples=200, deadline=None)
 def test_group_posts_equals_the_dict_grouping(rows, rng):
     reference = _reference_group_posts(rows)
-    assert group_posts(rows) == reference
-    assert group_posts(iter(rows)) == reference  # any iterable, read once
+    assert list(group_posts(rows)) == reference
+    assert list(group_posts(iter(rows))) == reference  # any iterable, read once
     if not rows:
         return
     shuffled = rows[:]
@@ -143,6 +147,79 @@ def test_group_posts_equals_the_dict_grouping(rows, rng):
     built = build_folksonomy(shuffled, vocab)
     assert list(built.posts) == reference
     assert built.fingerprint() == Folksonomy(reference, vocab).fingerprint()
+
+
+def _answers(f, users, items):
+    """The accessors' answers, asked as ``o_folksonomy`` asks them."""
+    return {
+        "users": f.users(),
+        "items": f.items(),
+        "posts_of_user": {u: f.posts_of_user(u) for u in users},
+        "posts_of_item": {i: f.posts_of_item(i) for i in items},
+        "items_of_user": {u: f.items_of_user(u) for u in users},
+        "taggers_of_item": {i: f.taggers_of_item(i) for i in items},
+        "user_tag_counts": {u: dict(f.user_tag_counts(u)) for u in users},
+        "item_tag_counts": {i: dict(f.item_tag_counts(i)) for i in items},
+        "tag_use_times": {u: f.tag_use_times(u) for u in users},
+        "stats": f.stats(),
+        "rows": list(f.rows()),
+        "fingerprint": f.fingerprint(),
+    }
+
+
+# u0's only post is on r0, which no one else tags; u1 uses t2 on r1 at 300
+# and again at 100, where the earlier use must win; r3's one tagger is u2
+_SINGLES = [
+    (0, 0, 0, 500),
+    (1, 1, 2, 300),
+    (1, 1, 2, 100),
+    (1, 1, 1, 200),
+    (2, 1, 2, 50),
+    (1, 2, 3, 400),
+    (2, 2, 0, 600),
+    (2, 2, 0, 700),
+    (2, 3, 1, 800),
+]
+
+
+@given(_rows_with_repeats(), st.randoms(use_true_random=False))
+@example(rows=_SINGLES, rng=random.Random(0))
+@settings(max_examples=200, deadline=None)
+def test_every_route_answers_as_the_layout_free_reference(rows, rng):
+    if not rows:
+        return
+    vocab = _vocab_for(rows)
+    posts = _reference_group_posts(rows)
+    # every id, one below and one past them: an unknown id has no posts
+    users, items = range(-1, len(vocab.users) + 1), range(-1, len(vocab.items) + 1)
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    built = build_folksonomy(shuffled, vocab)
+    restored = Folksonomy(posts, vocab)
+    assert restored.posts == tuple(posts)
+    for f in (built, restored):
+        assert _answers(f, users, items) == o_folksonomy(posts, vocab, users, items)
+    # the filters select posts from the columns
+    taggers = Counter(p.item for p in posts)
+    shared = [p for p in posts if taggers[p.item] > 1]
+    if shared:
+        assert _answers(remove_unique_resources(built), users, items) == o_folksonomy(shared, vocab, users, items)
+    sampled = sample_users(built, 0.5, rng.randrange(100))
+    drawn = [p for p in posts if p.user in set(sampled.users())]
+    assert _answers(sampled, users, items) == o_folksonomy(drawn, vocab, users, items)
+    split = chronological_split(built, 0.5)
+    train = [p for p in posts if p.item not in split.test.get(p.user, ())]
+    assert _answers(split.train, users, items) == o_folksonomy(train, vocab, users, items)
+
+
+def test_the_store_holds_no_python_object_per_post():
+    gc.collect()
+    before = len(gc.get_objects())
+    f = generate(SynthConfig(), 1)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    # Post tuples, and tuples or lists of them, would each be tracked
+    assert added < f.stats().bookmarks // 4, added
 
 
 def test_stats_counts(small_folksonomy):
