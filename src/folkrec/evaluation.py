@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, IO, List, Mapping, Sequence, Set, Tuple
 
@@ -157,6 +156,13 @@ def _worker_eval(task: Tuple[int, Set[int]]) -> UserResult:
     return _evaluate_user(_WORKER_STATE["recommender"], *task)
 
 
+def _process_pool(max_workers: int, initializer, initargs):
+    """A ProcessPoolExecutor, imported here: serial runs never load multiprocessing and its chain."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers, initializer=initializer, initargs=initargs)
+
+
 def evaluate_algorithm(
     split: SplitResult,
     config: RecommenderConfig,
@@ -182,7 +188,7 @@ def evaluate_algorithm(
         chunk = -(-len(tasks) // (workers * _CHUNKS_PER_WORKER))
         # the pool forks all max_workers processes at its first submit, so
         # never ask for more than there are tasks or CPUs to run them
-        with ProcessPoolExecutor(
+        with _process_pool(
             max_workers=min(workers, len(tasks), os.cpu_count() or 1),
             initializer=_worker_init,
             initargs=(split.train, split.t_ref, config),

@@ -16,7 +16,6 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from fnmatch import fnmatchcase
 from itertools import chain
 from operator import itemgetter
@@ -79,6 +78,9 @@ class ParseResult:
 
 def _parse_iso8601(raw: str) -> int:
     """Seconds since the epoch of an ISO-8601 time; a trailing Z or no zone means UTC."""
+    # imported here, so a dump with epoch timestamps never loads datetime
+    from datetime import datetime, timezone
+
     text = raw.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -86,6 +88,19 @@ def _parse_iso8601(raw: str) -> int:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return math.floor(dt.timestamp())
+
+
+def _parse_epoch(raw: str) -> int:
+    """Seconds since the epoch of a number: integer text exactly, any other number floored.
+
+    Integer text is read as an int, so a value past 2**53 keeps its last
+    digits; other text is read through a float and floored to whole seconds,
+    so -0.5 is before the epoch.
+    """
+    try:
+        return int(raw)
+    except ValueError:
+        return math.floor(float(raw))
 
 
 def _first_non_utf8_line(path: str) -> int:
@@ -160,8 +175,7 @@ def parse(spec: DatasetSpec) -> ParseResult:
                 # last value parsed without error, so those rows share one int
                 if raw_ts != ts_text:
                     try:
-                        # an epoch value is floored to whole seconds, so -0.5 is before the epoch
-                        parsed_ts = math.floor(float(raw_ts)) if epoch else _parse_iso8601(raw_ts)
+                        parsed_ts = _parse_epoch(raw_ts) if epoch else _parse_iso8601(raw_ts)
                         if parsed_ts < 0:
                             raise ValueError("timestamp before epoch")
                         if parsed_ts > MAX_TIMESTAMP:

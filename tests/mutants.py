@@ -87,8 +87,8 @@ MUTANTS = (
     Mutant(
         "epoch-time-truncated",
         "src/folkrec/ingest.py",
-        "math.floor(float(raw_ts))",
-        "int(float(raw_ts))",
+        "math.floor(float(raw))",
+        "int(float(raw))",
         ("tests/test_ingest.py",),
     ),
     Mutant(
@@ -358,6 +358,20 @@ MUTANTS = (
         "span > 0",
         "span > 1",
         ("tests/test_recommenders.py",),
+    ),
+    Mutant(
+        "pool-imported-eagerly",
+        "src/folkrec/evaluation.py",
+        "import os\nfrom dataclasses import dataclass\n",
+        "import os\nimport concurrent.futures.process\nfrom dataclasses import dataclass\n",
+        ("tests/test_evaluation.py",),
+    ),
+    Mutant(
+        "epoch-integer-through-float",
+        "src/folkrec/ingest.py",
+        "return int(raw)",
+        "return int(float(raw))",
+        ("tests/test_ingest.py",),
     ),
 )
 

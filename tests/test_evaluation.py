@@ -1,6 +1,7 @@
 """Metric closed forms, aggregation rules, leakage guards, golden reports."""
 
 import dataclasses
+import json
 import math
 import multiprocessing
 import os
@@ -456,8 +457,56 @@ def test_reports_do_not_depend_on_the_start_method(tmp_path):
         assert summary == summaries["fork"], method
 
 
+SERIAL_WORK = """
+import json, os, sys
+
+import folkrec  # the whole package, as a user imports it
+from folkrec.evaluation import EvalReport, evaluate_algorithm, write_reports
+from folkrec.ingest import DatasetSpec, load_snapshot, run_pipeline, write_snapshot
+from folkrec.recommenders import ALGORITHMS, RecommenderConfig
+from folkrec.split import chronological_split
+
+dump, config, out = sys.argv[1:]
+watched = ("multiprocessing", "concurrent.futures.process", "datetime")
+loaded = {}
+folksonomy, _ = run_pipeline(DatasetSpec(dump))
+write_snapshot(folksonomy, os.path.join(out, "snapshot.tsv"))
+split = chronological_split(load_snapshot(os.path.join(out, "snapshot.tsv")), 0.2)
+reports = tuple(evaluate_algorithm(split, RecommenderConfig(tag)) for tag in ALGORITHMS)
+write_reports(EvalReport(folksonomy.fingerprint(), "", {}, reports), out)
+loaded["serial"] = [name for name in watched if name in sys.modules]
+from folkrec import cli  # PyYAML's constructor imports datetime
+
+cli.main(["ingest", "--config", config, "--out", out])
+cli.main(["plotdata", os.path.join(out, "summary.json")])
+loaded["cli"] = [name for name in watched if name in sys.modules]
+evaluate_algorithm(split, RecommenderConfig("MP"), workers=2)
+loaded["pooled"] = [name for name in watched if name in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_serial_work_loads_no_process_pool(tmp_path):
+    """Only a pooled evaluation imports the pool's chain; epoch timestamps never import datetime."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evaluation.__file__)))
+    data = os.path.join(HERE, "data")
+    run = subprocess.run(
+        [sys.executable, "-c", SERIAL_WORK, os.path.join(data, "mini.tsv"), os.path.join(data, "mini_config.yaml"),
+         str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert loaded["serial"] == []
+    assert [name for name in loaded["cli"] if name != "datetime"] == []
+    assert {"multiprocessing", "concurrent.futures.process"} <= set(loaded["pooled"])
+
+
 def in_process_pool(seen):
-    """Stand-in for ProcessPoolExecutor: records its size and chunking in ``seen``, runs everything here."""
+    """Stand-in for ``evaluation._process_pool``: records its size and chunking in ``seen``, runs everything here."""
 
     class InProcessPool:
         def __init__(self, max_workers, initializer, initargs):
@@ -480,7 +529,7 @@ def in_process_pool(seen):
 
 def test_pool_size_is_capped_by_batches_and_cpus(monkeypatch):
     seen = {}
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", in_process_pool(seen))
+    monkeypatch.setattr(evaluation, "_process_pool", in_process_pool(seen))
     monkeypatch.setattr(evaluation, "_WORKER_STATE", {})
     _, split = _mini_split()
     serial = evaluate_algorithm(split, RecommenderConfig("CF_B"), workers=1)
@@ -547,7 +596,7 @@ def test_every_experiment_is_rejected_or_runs(name, value):
         config = ExperimentConfig(**{"algorithms": (RecommenderConfig("MP"), RecommenderConfig("CF_B")), name: value})
         with pytest.MonkeyPatch.context() as patch:
             # the stand-in starts no process, so any workers value is safe here
-            patch.setattr(evaluation, "ProcessPoolExecutor", in_process_pool({}))
+            patch.setattr(evaluation, "_process_pool", in_process_pool({}))
             patch.setattr(evaluation, "_WORKER_STATE", {})
             report = run_experiment(TINY_SYNTH, config)
     except ConfigError:

@@ -104,12 +104,24 @@ def test_timestamp_before_epoch_is_a_malformed_row(tmp_path, fmt, valid, before_
 def test_timestamp_past_the_time_column_is_a_malformed_row(tmp_path):
     # a folksonomy's time columns hold signed 64-bit values, so a later time could not be stored
     path = tmp_path / "d.tsv"
-    largest = 2**63 - 1024  # the largest float below 2**63, as epoch text is read through a float
-    write_rows(path, [("u1", "i1", "web", largest), ("u2", "i1", "web", "1e19"), ("u2", "i2", "css", 100)])
+    largest = 2**63 - 1  # integer epoch text is read exactly, so the column's largest value is kept
+    write_rows(
+        path,
+        [
+            ("u1", "i1", "web", largest),
+            ("u2", "i1", "web", "1e19"),
+            ("u3", "i1", "web", largest + 1),
+            ("u2", "i2", "css", 100),
+            ("u4", "i2", "css", 100),
+        ],
+    )
     parsed = parse(DatasetSpec(path=str(path)))
-    assert parsed.malformed == [(2, "bad timestamp '1e19': timestamp past 2**63 - 1 seconds")]
+    assert parsed.malformed == [
+        (2, "bad timestamp '1e19': timestamp past 2**63 - 1 seconds"),
+        (3, "bad timestamp '9223372036854775808': timestamp past 2**63 - 1 seconds"),
+    ]
     folksonomy = build_folksonomy(parsed.assignments, parsed.vocab)
-    assert [post.timestamp for post in folksonomy.posts] == [largest, 100]
+    assert [post.timestamp for post in folksonomy.posts] == [largest, 100, 100]
 
 
 def test_mostly_malformed_file_raises_format_error(tmp_path):
@@ -421,6 +433,15 @@ def test_snapshot_round_trip(tmp_path, small_folksonomy):
     assert head[0].startswith("# folkrec snapshot")
     assert head[1] == f"# fingerprint={fingerprint(small_folksonomy)}"
     assert head[2] == "# " + small_folksonomy.stats().line()
+
+
+def test_a_snapshot_keeps_a_timestamp_past_2_to_the_53(tmp_path):
+    # read through a float, 2**53 + 1 would reload as 2**53 and the body would not match its header
+    late = 2**53 + 1
+    folksonomy = folksonomy_from_rows([("u1", "i1", "web", late), ("u2", "i1", "css", 100)])
+    loaded = _reloaded(folksonomy, str(tmp_path))
+    assert fingerprint(loaded) == fingerprint(folksonomy)
+    assert [post.timestamp for post in loaded.posts] == [late, 100]
 
 
 def _count_label_row_builds(monkeypatch):
@@ -747,9 +768,12 @@ def test_the_draw_runs_over_users_with_a_kept_row(tmp_path, seed):
 
 
 def _reference_timestamp(raw, fmt):
-    """Seconds since the epoch: a number (floored) or an ISO-8601 time (UTC unless zoned, floored)."""
+    """Seconds since the epoch: integer text (exact), another number (floored) or an ISO-8601 time (UTC unless zoned, floored)."""
     if fmt == "epoch":
-        ts = math.floor(float(raw))
+        try:
+            ts = int(raw)
+        except ValueError:
+            ts = math.floor(float(raw))
     else:
         text = raw.strip()
         if text.endswith(("Z", "z")):
