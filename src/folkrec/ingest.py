@@ -5,8 +5,8 @@ Input format: delimited text (TAB by default), one assignment per row as
 The preprocessing pipeline runs in a fixed order: parse, blacklist filter,
 user sampling, grouping into posts, unique-resource removal. The blacklist
 and the sample select rows, so only the sampled users' rows are grouped;
-unique-resource removal keeps or drops whole posts, and the indexed
-``Folksonomy`` is built once, from what it keeps.
+unique-resource removal keeps or drops whole posts. A ``Folksonomy`` builds
+its indexes on first read, so ingest builds none.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ConfigError, EmptyDatasetError, FormatError, is_integer, is_number
-from .model import MAX_TIMESTAMP, Assignment, Folksonomy, PostColumns, Vocab, build_folksonomy, group_posts, write_lines
+from .model import MAX_TIMESTAMP, Assignment, Folksonomy, Vocab, build_folksonomy, write_lines
 
 # Tags auto-generated by import tooling rather than chosen by a person.
 DEFAULT_BLACKLIST = ("bibtex-import",)
@@ -251,22 +251,12 @@ def _drawn_users(users: Iterable[int], fraction: float, seed: int) -> Optional[S
     return set(random.Random(seed).sample(ordered, keep))
 
 
-def _shared_item_posts(posts: PostColumns) -> PostColumns:
-    """The posts on items that more than one user bookmarked, counted once."""
-    taggers = Counter(posts.item)  # one post per (user, item)
-    keep = [taggers[item] > 1 for item in posts.item]
-    if not any(keep):
-        raise EmptyDatasetError("no items with more than one tagger; nothing left after filtering")
-    return posts.select(keep)
-
-
 def sample_users(folksonomy: Folksonomy, fraction: float, seed: int) -> Folksonomy:
     """Keep ceil(fraction * |U|) users, at least one, drawn uniformly without replacement."""
-    drawn = _drawn_users(folksonomy.users(), fraction, seed)
+    drawn = _drawn_users(folksonomy.user, fraction, seed)
     if drawn is None:
         return folksonomy
-    columns = folksonomy.columns
-    return Folksonomy(columns.select([user in drawn for user in columns.user]), folksonomy.vocab)
+    return folksonomy.select([user in drawn for user in folksonomy.user])
 
 
 def remove_unique_resources(folksonomy: Folksonomy) -> Folksonomy:
@@ -276,7 +266,11 @@ def remove_unique_resources(folksonomy: Folksonomy) -> Folksonomy:
     one stay in, and items whose tagger count drops to one because of user
     sampling upstream are judged on the counts seen here, once.
     """
-    return Folksonomy(_shared_item_posts(folksonomy.columns), folksonomy.vocab)
+    taggers = Counter(folksonomy.item)  # one post per (user, item)
+    keep = [taggers[item] > 1 for item in folksonomy.item]
+    if not any(keep):
+        raise EmptyDatasetError("no items with more than one tagger; nothing left after filtering")
+    return folksonomy.select(keep)
 
 
 def run_pipeline(spec: DatasetSpec) -> Tuple[Folksonomy, ParseResult]:
@@ -284,9 +278,8 @@ def run_pipeline(spec: DatasetSpec) -> Tuple[Folksonomy, ParseResult]:
 
     The sample is drawn over the users with a kept row, who are exactly the
     users with a post once grouped, so only the sampled users' rows are
-    grouped. Unique-resource removal selects posts, and the indexed
-    folksonomy is built once, from the posts it keeps; the result equals the
-    one the public steps give.
+    grouped; the result equals the one the public steps give. No step builds
+    an index.
     """
     parsed = parse(spec)
     kept = filter_blacklisted_tags(parsed.assignments, spec.blacklist, parsed.vocab)
@@ -295,7 +288,7 @@ def run_pipeline(spec: DatasetSpec) -> Tuple[Folksonomy, ParseResult]:
     drawn = _drawn_users(map(itemgetter(0), kept), spec.sample_fraction, spec.seed)
     if drawn is not None:
         kept = [row for row in kept if row[0] in drawn]
-    return Folksonomy(_shared_item_posts(group_posts(kept)), parsed.vocab), parsed
+    return remove_unique_resources(build_folksonomy(kept, parsed.vocab)), parsed
 
 
 def write_snapshot(folksonomy: Folksonomy, path: str | Path) -> None:
@@ -310,12 +303,18 @@ def write_snapshot(folksonomy: Folksonomy, path: str | Path) -> None:
 
 
 def _written_fingerprint(path: str | Path) -> Optional[str]:
-    """The ``# fingerprint=`` header of a file that starts like a snapshot, else None."""
+    """The ``# fingerprint=`` header of a file that starts like a snapshot, else None.
+
+    A snapshot header not followed by a fingerprint line is a FormatError:
+    without one, a damaged snapshot would load unchecked.
+    """
     with open(path, "r", encoding="utf-8-sig") as fh:
         if fh.readline() != _SNAPSHOT_HEADER + "\n":
             return None
         line = fh.readline()
-    return line[len(_FINGERPRINT_PREFIX) :].rstrip("\n") if line.startswith(_FINGERPRINT_PREFIX) else None
+    if not line.startswith(_FINGERPRINT_PREFIX):
+        raise FormatError(f"snapshot {path} has no {_FINGERPRINT_PREFIX!r} line after its header")
+    return line[len(_FINGERPRINT_PREFIX) :].rstrip("\n")
 
 
 def load_snapshot(path: str | Path) -> Folksonomy:
@@ -323,9 +322,10 @@ def load_snapshot(path: str | Path) -> Folksonomy:
 
     Every data row must parse: a malformed one is a FormatError naming its
     line. A snapshot must hold what its ``# fingerprint=`` header says: a
-    truncated or edited one is a FormatError. The checked digest stays cached
-    as the folksonomy's fingerprint. A dump without that header skips the
-    fingerprint check.
+    truncated or edited one is a FormatError, as is one whose
+    ``# folkrec snapshot v1`` line is not followed by a fingerprint line. The
+    checked digest stays cached as the folksonomy's fingerprint. A dump
+    without the snapshot header skips the fingerprint check.
     """
     parsed = parse(DatasetSpec(path=path, blacklist=()))
     if parsed.malformed:

@@ -13,8 +13,9 @@ import hashlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain, compress, groupby, islice
-from operator import itemgetter, sub
+from operator import sub
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, TextIO, Tuple
 
@@ -88,8 +89,8 @@ class Post(NamedTuple):
     holds at least one (tag, timestamp) entry, one per distinct tag with its
     earliest use, tag ids ascending. ``timestamp`` is the earliest of those
     times (the bookmark's creation). An immutable named tuple: it unpacks and
-    compares like a plain tuple. A folksonomy stores its posts as
-    :class:`PostColumns` and builds ``Post`` values only when asked for them.
+    compares like a plain tuple. A folksonomy stores its posts as flat
+    columns and builds ``Post`` values only when asked for them.
     """
 
     user: int
@@ -100,81 +101,6 @@ class Post(NamedTuple):
     @property
     def tags(self) -> Tuple[int, ...]:
         return tuple(t for t, _ in self.tag_times)
-
-
-class PostColumns:
-    """Posts sorted by (user, item), stored as flat columns that keep the :class:`Post` contract.
-
-    Post ``p`` is ``user[p]``, ``item[p]`` and ``timestamp[p]``; its tag uses
-    are ``tag[k]`` with time ``time[k]`` for ``k`` in ``start[p]:start[p + 1]``
-    (:meth:`uses`), so ``start`` holds one more entry than there are posts.
-    The arrays hold no Python object per entry: the cyclic GC never walks
-    them, a forked process shares their pages and a pickle copies their bytes.
-    Never mutated once built.
-    """
-
-    __slots__ = ("user", "item", "timestamp", "start", "tag", "time")
-
-    def __init__(self, user: array, item: array, timestamp: array, start: array, tag: array, time: array) -> None:
-        self.user, self.item, self.timestamp, self.start, self.tag, self.time = user, item, timestamp, start, tag, time
-
-    @classmethod
-    def of_posts(cls, posts: Iterable[Post]) -> PostColumns:
-        """Columns holding ``posts``, put in (user, item) order."""
-        ordered = sorted(posts, key=itemgetter(0, 1))
-        start, tag, time = array("q", [0]), array("i"), array("q")
-        for post in ordered:
-            tag.extend([t for t, _ in post.tag_times])
-            time.extend([ts for _, ts in post.tag_times])
-            start.append(len(tag))
-        return cls(
-            array("i", [p.user for p in ordered]),
-            array("i", [p.item for p in ordered]),
-            array("q", [p.timestamp for p in ordered]),
-            start,
-            tag,
-            time,
-        )
-
-    def __len__(self) -> int:
-        return len(self.user)
-
-    def __iter__(self) -> Iterator[Post]:
-        return map(self.post, range(len(self.user)))
-
-    def uses(self, first: int, stop: int) -> slice:
-        """Where the tag uses of posts ``first`` to ``stop - 1`` lie in ``tag`` and ``time``."""
-        return slice(self.start[first], self.start[stop])
-
-    def sizes(self) -> Iterator[int]:
-        """The number of tag uses of each post, in post order."""
-        return map(sub, self.start[1:], self.start[:-1])
-
-    def post(self, p: int) -> Post:
-        """Post ``p`` as a :class:`Post` value."""
-        uses = self.uses(p, p + 1)
-        return Post(self.user[p], self.item[p], self.timestamp[p], tuple(zip(self.tag[uses], self.time[uses])))
-
-    def select(self, keep: Sequence[bool]) -> PostColumns:
-        """New columns holding each post ``p`` for which ``keep[p]`` is true, in order.
-
-        The kept posts are copied a run of consecutive posts at a time; the
-        filters keep most posts, in long runs.
-        """
-        selected = PostColumns(array("i"), array("i"), array("q"), array("q"), array("i"), array("q"))
-        first = 0
-        for kept, run in groupby(keep):
-            stop = first + len(list(run))
-            if kept:
-                selected.user += self.user[first:stop]
-                selected.item += self.item[first:stop]
-                selected.timestamp += self.timestamp[first:stop]
-                uses = self.uses(first, stop)
-                selected.tag += self.tag[uses]
-                selected.time += self.time[uses]
-            first = stop
-        selected.start = array("q", accumulate(compress(self.sizes(), keep), initial=0))
-        return selected
 
 
 @dataclass(frozen=True)
@@ -195,71 +121,133 @@ class Stats:
 
 
 class Folksonomy:
-    """Immutable store of posts, indexed by user and by item.
+    """Immutable store of posts as flat columns, indexed by user and by item on first read.
 
+    Post ``p`` is ``user[p]``, ``item[p]`` and ``timestamp[p]``; its tag uses
+    are ``tag[k]`` with time ``time[k]`` for ``k`` in ``start[p]:start[p + 1]``
+    (:meth:`uses`), so ``start`` holds one more entry than there are posts.
     The posts keep the :class:`Post` contract, so every user listed has a tag
     use; they hold at most one post per (user, item), sorted by (user, item),
-    which the indexes rely on. They are kept as :class:`PostColumns`
-    (``columns``); ``posts``, ``posts_of_user`` and ``posts_of_item`` build
-    ``Post`` values on demand. A user's posts are one range of post numbers
-    (:meth:`post_range`); an item's are listed by a counting sort of the post
-    numbers. Tag statistics (counts, use times, the number of distinct tags)
-    are derived from the columns when read. Safe for concurrent reads; never
-    mutated.
+    which the indexes rely on. The arrays hold no Python object per entry:
+    the cyclic GC never walks them, a forked process shares their pages and
+    a pickle copies their bytes. ``posts``, ``posts_of_user`` and
+    ``posts_of_item`` build ``Post`` values on demand.
+
+    A user's posts are one range of post numbers (:meth:`post_range`); an
+    item's are listed by a counting sort of the post numbers. Each index is
+    filled the first time it is read, so a folksonomy that is only filtered,
+    written or fingerprinted builds none, and a pickle carries only the
+    indexes read before it. Tag statistics are derived from the columns when
+    read. Safe for concurrent reads: the columns are never mutated, and two
+    threads racing to fill one index compute equal values. Made only by
+    :func:`build_folksonomy` and :meth:`select`.
     """
 
-    def __init__(self, posts: PostColumns | Sequence[Post], vocab: Vocab) -> None:
-        self.columns = posts if isinstance(posts, PostColumns) else PostColumns.of_posts(posts)
+    def __init__(
+        self, user: array, item: array, timestamp: array, start: array, tag: array, time: array, vocab: Vocab
+    ) -> None:
+        self.user, self.item, self.timestamp, self.start, self.tag, self.time = user, item, timestamp, start, tag, time
         self.vocab = vocab
-        self._build_indexes()
         self._fingerprint: str | None = None
 
-    def _build_indexes(self) -> None:
-        columns = self.columns
-        self._user_start = _offsets(columns.user)
-        self._item_start = _offsets(columns.item)
-        # post numbers and their users by item: a stable counting sort, so each item's posts stay in user order
+    # -- indexes, each filled on first read ---------------------------------
+
+    @cached_property
+    def _user_start(self) -> array:
+        return _offsets(self.user)
+
+    @cached_property
+    def _item_start(self) -> array:
+        return _offsets(self.item)
+
+    @cached_property
+    def _item_posts(self) -> array:
+        """Post numbers by item: a stable counting sort, so each item's posts stay in user order."""
         fill = self._item_start.tolist()
-        by_item, taggers = array("i", bytes(4 * len(columns))), array("i", bytes(4 * len(columns)))
-        for p, (user, item) in enumerate(zip(columns.user, columns.item)):
+        by_item = array("i", bytes(4 * len(self)))
+        for p, item in enumerate(self.item):
             slot = fill[item]
-            by_item[slot], taggers[slot] = p, user
+            by_item[slot] = p
             fill[item] = slot + 1
-        self._item_posts = by_item
-        # the cached id tuples share one int object per id
-        user_ids, item_ids = list(range(len(self._user_start) - 1)), list(range(len(self._item_start) - 1))
-        self._user_items = _id_tuples(self._user_start, columns.item, item_ids)
-        self._item_users = _id_tuples(self._item_start, taggers, user_ids)
+        return by_item
+
+    @cached_property
+    def _user_items(self) -> Dict[int, Tuple[int, ...]]:
+        return _id_tuples(self._user_start, self.item)
+
+    @cached_property
+    def _item_users(self) -> Dict[int, Tuple[int, ...]]:
+        return _id_tuples(self._item_start, array("i", map(self.user.__getitem__, self._item_posts)))
+
+    # -- the columns ---------------------------------------------------------
+
+    def __len__(self) -> int:
+        """The number of posts."""
+        return len(self.user)
+
+    def uses(self, first: int, stop: int) -> slice:
+        """Where the tag uses of posts ``first`` to ``stop - 1`` lie in ``tag`` and ``time``."""
+        return slice(self.start[first], self.start[stop])
+
+    def sizes(self) -> Iterator[int]:
+        """The number of tag uses of each post, in post order."""
+        return map(sub, self.start[1:], self.start[:-1])
+
+    def select(self, keep: Sequence[bool]) -> Folksonomy:
+        """A folksonomy over the same vocabulary holding each post ``p`` for which ``keep[p]`` is true, in order.
+
+        The kept posts are copied a run of consecutive posts at a time; the
+        filters keep most posts, in long runs.
+        """
+        user, item, timestamp, tag, time = array("i"), array("i"), array("q"), array("i"), array("q")
+        first = 0
+        for kept, run in groupby(keep):
+            stop = first + len(list(run))
+            if kept:
+                user += self.user[first:stop]
+                item += self.item[first:stop]
+                timestamp += self.timestamp[first:stop]
+                uses = self.uses(first, stop)
+                tag += self.tag[uses]
+                time += self.time[uses]
+            first = stop
+        start = array("q", accumulate(compress(self.sizes(), keep), initial=0))
+        return Folksonomy(user, item, timestamp, start, tag, time, self.vocab)
 
     # -- accessors ---------------------------------------------------------
+
+    def _post(self, p: int) -> Post:
+        """Post ``p`` as a :class:`Post` value."""
+        uses = self.uses(p, p + 1)
+        return Post(self.user[p], self.item[p], self.timestamp[p], tuple(zip(self.tag[uses], self.time[uses])))
 
     @property
     def posts(self) -> Tuple[Post, ...]:
         """Every post as a :class:`Post` value, in (user, item) order, built on each read."""
-        return tuple(self.columns)
+        return tuple(map(self._post, range(len(self))))
 
     def users(self) -> List[int]:
         """Ids of users with at least one post, ascending."""
-        return list(self._user_items)
+        return _present(self._user_start)
 
     def items(self) -> List[int]:
         """Ids of items with at least one post, ascending."""
         return _present(self._item_start)
 
     def post_range(self, user: int) -> range:
-        """Numbers of the user's posts in ``columns`` (posts are user-sorted)."""
+        """Numbers of the user's posts (posts are user-sorted)."""
         return range(*_span(self._user_start, user))
 
     def user_uses(self, user: int) -> slice:
-        """Where the user's tag uses lie in ``columns.tag`` and ``columns.time``, in post order."""
-        return self.columns.uses(*_span(self._user_start, user))
+        """Where the user's tag uses lie in ``tag`` and ``time``, in post order."""
+        return self.uses(*_span(self._user_start, user))
 
     def posts_of_user(self, user: int) -> Tuple[Post, ...]:
-        return tuple([*map(self.columns.post, self.post_range(user))])
+        return tuple([*map(self._post, self.post_range(user))])
 
     def posts_of_item(self, item: int) -> Tuple[Post, ...]:
         lo, hi = _span(self._item_start, item)
-        return tuple([*map(self.columns.post, self._item_posts[lo:hi])])
+        return tuple([*map(self._post, self._item_posts[lo:hi])])
 
     def items_of_user(self, user: int) -> Tuple[int, ...]:
         """Items the user has bookmarked, ascending (posts are item-sorted)."""
@@ -271,30 +259,30 @@ class Folksonomy:
 
     def user_tag_counts(self, user: int) -> Mapping[int, int]:
         """tag -> number of the user's posts carrying that tag."""
-        return Counter(self.columns.tag[self.user_uses(user)])
+        return Counter(self.tag[self.user_uses(user)])
 
     def item_tag_counts(self, item: int) -> Mapping[int, int]:
         """tag -> number of posts on this item carrying that tag."""
         lo, hi = _span(self._item_start, item)
-        tag, uses = self.columns.tag, self.columns.uses
+        tag, uses = self.tag, self.uses
         return Counter(chain.from_iterable([tag[uses(p, p + 1)] for p in self._item_posts[lo:hi]]))
 
     def tag_use_times(self, user: int) -> Dict[int, List[int]]:
         """tag -> timestamps of the user's uses of that tag, in post order."""
         span = self.user_uses(user)
         uses: Dict[int, List[int]] = {}
-        for tag, ts in zip(self.columns.tag[span], self.columns.time[span]):
+        for tag, ts in zip(self.tag[span], self.time[span]):
             uses.setdefault(tag, []).append(ts)
         return uses
 
     def stats(self) -> Stats:
-        columns = self.columns
+        """Counted from the columns alone: builds no index."""
         return Stats(
-            bookmarks=len(columns),
-            users=len(self._user_items),
-            resources=len(self.items()),
-            tags=len(set(columns.tag)),
-            assignments=len(columns.tag),
+            bookmarks=len(self),
+            users=len(set(self.user)),
+            resources=len(set(self.item)),
+            tags=len(set(self.tag)),
+            assignments=len(self.tag),
         )
 
     def rows(self) -> Iterator[str]:
@@ -304,9 +292,8 @@ class Folksonomy:
         sorted, the snapshot body.
         """
         user_of, item_of, tag_of = self.vocab.users.label_of, self.vocab.items.label_of, self.vocab.tags.label_of
-        columns = self.columns
-        uses = zip(columns.tag, columns.time)
-        for user, item, size in zip(columns.user, columns.item, columns.sizes()):
+        uses = zip(self.tag, self.time)
+        for user, item, size in zip(self.user, self.item, self.sizes()):
             user, item = user_of(user), item_of(item)
             for tag, ts in islice(uses, size):
                 yield f"{user}\t{item}\t{tag_of(tag)}\t{ts}"
@@ -348,14 +335,16 @@ def _span(offsets: array, ident: int) -> Tuple[int, int]:
     return 0, 0
 
 
-def _id_tuples(offsets: array, values: array, ids: List[int]) -> Dict[int, Tuple[int, ...]]:
-    """Per id k with a non-empty span, ``values[offsets[k]:offsets[k + 1]]`` as a tuple of the ``ids`` ints.
+def _id_tuples(offsets: array, values: array) -> Dict[int, Tuple[int, ...]]:
+    """Per id k with a non-empty span, ``values[offsets[k]:offsets[k + 1]]`` as a tuple.
 
-    Each tuple is copied from a list: a tuple built from an iterator of
-    unknown length is reallocated as it grows, and doing that for every id
-    of every build fragments the heap, so a process's peak memory creeps up.
+    The tuples share one int object per value. Each is copied from a list: a
+    tuple built from an iterator of unknown length is reallocated as it
+    grows, and doing that for every id of every build fragments the heap, so
+    a process's peak memory creeps up.
     """
-    return {k: tuple([*map(ids.__getitem__, values[offsets[k] : offsets[k + 1]])]) for k in _present(offsets)}
+    shared = list(range(max(values, default=-1) + 1))
+    return {k: tuple([*map(shared.__getitem__, values[offsets[k] : offsets[k + 1]])]) for k in _present(offsets)}
 
 
 def _present(offsets: array) -> List[int]:
@@ -397,13 +386,13 @@ def _label_digest(rows: Sequence[str]) -> str:
     return digest.hexdigest()
 
 
-def group_posts(assignments: Iterable[Assignment]) -> PostColumns:
-    """Group (user, item, tag, timestamp) rows into posts sorted by (user, item).
+def build_folksonomy(assignments: Iterable[Assignment], vocab: Vocab) -> Folksonomy:
+    """Group (user, item, tag, timestamp) rows into the posts of a folksonomy, sorted by (user, item).
 
     Rows sharing (user, item) merge into one post whose timestamp is the
     earliest among them. Duplicate (user, item, tag) rows collapse to the
     earliest use so re-imports cannot inflate frequency counts. The result
-    does not depend on input order.
+    does not depend on input order. No rows is an EmptyDatasetError.
 
     One sort does the grouping: in (user, item, tag, timestamp) order a
     post's rows are adjacent, its tags ascend, and the first row of each tag
@@ -426,16 +415,10 @@ def group_posts(assignments: Iterable[Assignment]) -> PostColumns:
         tags.append(tag)
         times.append(ts)
         last_tag = tag
-    start.append(len(tags))
-    return PostColumns(users, items, stamps, start, tags, times)
-
-
-def build_folksonomy(assignments: Iterable[Assignment], vocab: Vocab) -> Folksonomy:
-    """Group tag assignments into posts (:func:`group_posts`) and build the indexed store."""
-    posts = group_posts(assignments)
-    if not posts:
+    if not users:
         raise EmptyDatasetError("no tag assignments to build from")
-    return Folksonomy(posts, vocab)
+    start.append(len(tags))
+    return Folksonomy(users, items, stamps, start, tags, times, vocab)
 
 
 def fingerprint(folksonomy: Folksonomy) -> str:

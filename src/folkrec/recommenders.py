@@ -132,7 +132,7 @@ class MostPopular(Recommender):
     def __init__(self, train: Folksonomy, t_ref: Mapping[int, int], config: RecommenderConfig) -> None:
         super().__init__(train, t_ref, config)
         # one post per (user, item), so an item's posts count its bookmarks
-        self._by_popularity = tuple(best_first((item, float(n)) for item, n in Counter(train.columns.item).items()))
+        self._by_popularity = tuple(best_first((item, float(n)) for item, n in Counter(train.item).items()))
 
     def ranking(self, user: int) -> Iterable[Tuple[int, float]]:
         owned = set(self.train.items_of_user(user))
@@ -245,8 +245,7 @@ class ExpDecayCF(_NeighborhoodRecommender):
     """
 
     def __init__(self, train: Folksonomy, t_ref: Mapping[int, int], config: RecommenderConfig) -> None:
-        columns = train.columns
-        item, timestamp, n_tags = columns.item, columns.timestamp, list(columns.sizes())
+        item, timestamp, n_tags = train.item, train.timestamp, list(train.sizes())
         self._weights: Dict[int, Dict[int, float]] = {}
         for user in train.users():
             reference = t_ref[user]

@@ -38,7 +38,7 @@ def reference_times(folksonomy: Folksonomy) -> Dict[int, int]:
     Over assignment times, not post times: a post carries its earliest time,
     and recencies must stay strictly positive for every tag use.
     """
-    time = folksonomy.columns.time
+    time = folksonomy.time
     return {user: max(time[folksonomy.user_uses(user)]) + 1 for user in folksonomy.users()}
 
 
@@ -55,10 +55,9 @@ def chronological_split(folksonomy: Folksonomy, test_fraction: float = 0.2) -> S
     """
     if not (is_number(test_fraction) and 0.0 < test_fraction < 1.0):
         raise ConfigError(f"test_fraction must be a number in (0, 1), got {test_fraction!r}")
-    columns = folksonomy.columns
-    timestamp, item = columns.timestamp, columns.item
+    timestamp, item = folksonomy.timestamp, folksonomy.item
     test: Dict[int, FrozenSet[int]] = {}
-    train_posts = [True] * len(columns)  # per post, whether train keeps it
+    train_posts = [True] * len(folksonomy)  # per post, whether train keeps it
     for user in folksonomy.users():
         posts = sorted(folksonomy.post_range(user), key=lambda p: (timestamp[p], item[p]))
         n = len(posts)
@@ -70,7 +69,7 @@ def chronological_split(folksonomy: Folksonomy, test_fraction: float = 0.2) -> S
                 train_posts[p] = False
     if not any(train_posts):
         raise EmptyDatasetError("no training posts after splitting")
-    train = Folksonomy(columns.select(train_posts), folksonomy.vocab)
+    train = folksonomy.select(train_posts)
     return SplitResult(train=train, test=test, t_ref=reference_times(train))
 
 

@@ -367,6 +367,13 @@ MUTANTS = (
         ("tests/test_evaluation.py",),
     ),
     Mutant(
+        "snapshot-without-fingerprint-line-loads-unchecked",
+        "src/folkrec/ingest.py",
+        'raise FormatError(f"snapshot {path} has no {_FINGERPRINT_PREFIX!r} line after its header")',
+        "return None",
+        ("tests/test_ingest.py",),
+    ),
+    Mutant(
         "epoch-integer-through-float",
         "src/folkrec/ingest.py",
         "return int(raw)",

@@ -27,9 +27,10 @@ from folkrec.ingest import (
 )
 from folkrec.model import Folksonomy, Vocab, build_folksonomy, fingerprint
 from folkrec.split import chronological_split
-from folkrec.synth import write_tsv
+from folkrec.synth import SynthConfig, generate, write_tsv
 
 from conftest import ANY_SETTING, UNSHRUNK, folksonomy_from_rows, random_folksonomy, random_rows
+from oracles import o_folksonomy
 
 
 def write_rows(path, rows):
@@ -325,7 +326,7 @@ def test_sample_keeps_ceiling_of_fraction_times_users():
     # at least one: ceil(round(1e-12 * 100, 9)) is 0, and kept no user
     assert len(sample_users(f, 1e-12, seed=0).users()) == 1
     # but an empty folksonomy has none to draw
-    assert sample_users(Folksonomy([], f.vocab), 1e-12, seed=0).users() == []
+    assert sample_users(f.select([False] * len(f)), 1e-12, seed=0).users() == []
 
 
 def test_sampling_deterministic_per_seed():
@@ -463,7 +464,7 @@ def test_write_snapshot_builds_the_label_rows_once(tmp_path, monkeypatch, small_
         for u, i, t, ts in assignments_of(small_folksonomy)
     )
     digest = hashlib.sha256("\n".join(rows).encode("utf-8")).hexdigest()
-    fresh = Folksonomy(small_folksonomy.posts, vocab)  # no cached fingerprint
+    fresh = small_folksonomy.select([True] * len(small_folksonomy))  # no cached fingerprint
     calls = _count_label_row_builds(monkeypatch)
     path = tmp_path / "snap.tsv"
     write_snapshot(fresh, path)
@@ -472,7 +473,7 @@ def test_write_snapshot_builds_the_label_rows_once(tmp_path, monkeypatch, small_
     assert path.read_bytes() == expected.encode("utf-8")
     assert fresh.fingerprint() == digest
     assert len(calls) == 1  # the digest of the written rows was cached
-    assert Folksonomy(small_folksonomy.posts, vocab).fingerprint() == digest
+    assert small_folksonomy.select([True] * len(small_folksonomy)).fingerprint() == digest
     assert len(calls) == 2
 
 
@@ -504,7 +505,21 @@ def test_headerless_dump_loads_unchecked(tmp_path, small_folksonomy):
     path.write_text("".join(body[:-1]), encoding="utf-8")  # no header, last row dropped
     loaded = load_snapshot(path)
     assert loaded.stats().assignments == small_folksonomy.stats().assignments - 1
-    assert loaded.fingerprint() == Folksonomy(loaded.posts, loaded.vocab).fingerprint()
+    assert loaded.fingerprint() == o_folksonomy(loaded.posts, loaded.vocab, [], [])["fingerprint"]
+
+
+@pytest.mark.parametrize("line_2", ["", "# fingerprint\n"], ids=["dropped", "no-digest"])
+def test_a_snapshot_header_without_a_fingerprint_line_is_rejected(tmp_path, line_2):
+    # with the fingerprint line gone, this snapshot less its last row loaded
+    # unchecked as TAS=815, where the folksonomy written had 816
+    folksonomy = generate(SynthConfig(users=20, items=30, tags=10, topics=3), 1)
+    assert folksonomy.stats().assignments == 816
+    path = tmp_path / "snap.tsv"
+    write_snapshot(folksonomy, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(lines[0] + line_2 + "".join(lines[2:-1]), encoding="utf-8")
+    with pytest.raises(FormatError, match=str(path)):
+        load_snapshot(path)
 
 
 @pytest.mark.parametrize("comment", ["", "# exported by an editor\n"])
@@ -705,22 +720,35 @@ def test_run_pipeline_equals_the_public_steps(seed, sample_fraction, sample_seed
         assert _outcome(run_pipeline, spec) == _outcome(_stepwise, spec)
 
 
-def test_run_pipeline_builds_one_folksonomy(tmp_path, monkeypatch):
+def test_ingest_builds_no_index(tmp_path, monkeypatch):
     path = tmp_path / "d.tsv"
     write_tsv(random_folksonomy(5), str(path))
     spec = DatasetSpec(path=str(path), sample_fraction=0.5, seed=1)
     built = []
-    original = Folksonomy.__init__
+    original = model._offsets
 
-    def counting_init(self, posts, vocab):
-        built.append(len(posts))
-        original(self, posts, vocab)
+    def counting_offsets(ids):
+        built.append(ids)
+        return original(ids)
 
-    monkeypatch.setattr(Folksonomy, "__init__", counting_init)
+    monkeypatch.setattr(model, "_offsets", counting_offsets)
     folksonomy, _ = run_pipeline(spec)
-    assert built == [len(folksonomy.posts)]
-    _stepwise(spec)  # the counter sees every build: one per public step
-    assert len(built) == 4
+    _stepwise(spec)
+    folksonomy.fingerprint()
+    folksonomy.stats()
+    write_snapshot(folksonomy, tmp_path / "snap.tsv")
+    load_snapshot(tmp_path / "snap.tsv")
+    assert built == []
+    # the first reads build each offset table, and only the first
+    for user in folksonomy.users():
+        folksonomy.items_of_user(user)
+        folksonomy.tag_use_times(user)
+    assert len(built) == 1 and built[0] is folksonomy.user
+    for item in folksonomy.items():
+        folksonomy.taggers_of_item(item)
+        folksonomy.posts_of_item(item)
+    folksonomy.users()
+    assert len(built) == 2 and built[1] is folksonomy.item
 
 
 def test_only_the_sampled_users_rows_are_grouped(tmp_path, monkeypatch):
@@ -732,13 +760,13 @@ def test_only_the_sampled_users_rows_are_grouped(tmp_path, monkeypatch):
     users = sorted({user for user, _, _, _ in kept})
     drawn = set(random.Random(spec.seed).sample(users, math.ceil(round(0.5 * len(users), 9))))
     grouped = []
-    original = ingest.group_posts
+    original = ingest.build_folksonomy
 
-    def recording_group_posts(rows):
+    def recording_build_folksonomy(rows, vocab):
         grouped.append(list(rows))
-        return original(grouped[-1])
+        return original(grouped[-1], vocab)
 
-    monkeypatch.setattr(ingest, "group_posts", recording_group_posts)
+    monkeypatch.setattr(ingest, "build_folksonomy", recording_build_folksonomy)
     run_pipeline(spec)
     assert grouped == [[row for row in kept if row[0] in drawn]]
     assert len(grouped[0]) < len(kept)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from folkrec.errors import EmptyDatasetError
 from folkrec.ingest import remove_unique_resources, sample_users
-from folkrec.model import Folksonomy, Post, Vocab, build_folksonomy, fingerprint, group_posts
+from folkrec.model import Post, Vocab, build_folksonomy, fingerprint
 from folkrec.split import chronological_split
 from folkrec.synth import SynthConfig, generate, write_tsv
 
@@ -77,20 +77,29 @@ def test_folksonomy_pickles_with_the_same_fingerprint(small_folksonomy):
     assert restored.posts == small_folksonomy.posts
     assert all(type(post) is Post for post in restored.posts)
     assert restored.stats() == small_folksonomy.stats()
+    # a pickle carries only the indexes read before it: one taken before any
+    # accessor runs must build them all, one taken after must carry them all
+    users = range(-1, len(small_folksonomy.vocab.users) + 1)
+    items = range(-1, len(small_folksonomy.vocab.items) + 1)
+    unread = small_folksonomy.select([True] * len(small_folksonomy))
+    before = pickle.loads(pickle.dumps(unread))
+    expected = _answers(unread, users, items)
+    after = pickle.loads(pickle.dumps(unread))
+    assert _answers(before, users, items) == _answers(after, users, items) == expected
+    assert expected == _answers(small_folksonomy, users, items)
 
 
-def test_group_posts_merges_rows_and_sorts_by_user_item():
+def test_build_folksonomy_merges_rows_and_sorts_by_user_item():
     rows = [(1, 0, 7, 300), (0, 2, 5, 200), (1, 0, 3, 100), (1, 0, 7, 50), (0, 1, 5, 400)]
-    assert list(group_posts(rows)) == [
+    assert build_folksonomy(rows, _vocab_for(rows)).posts == (
         Post(0, 1, 400, ((5, 400),)),
         Post(0, 2, 200, ((5, 200),)),
         Post(1, 0, 50, ((3, 100), (7, 50))),
-    ]
-    assert list(group_posts([])) == []
+    )
 
 
 def _reference_group_posts(assignments):
-    """group_posts as a dict of tag dicts per (user, item): the grouping the one sort replaced."""
+    """The posts of ``assignments`` from a dict of tag dicts per (user, item): the grouping the one sort replaced."""
     grouped = {}
     for user, item, tag, ts in assignments:
         tag_times = grouped.get((user, item))
@@ -135,18 +144,18 @@ def _vocab_for(rows):
 
 @given(_rows_with_repeats(), st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
-def test_group_posts_equals_the_dict_grouping(rows, rng):
-    reference = _reference_group_posts(rows)
-    assert list(group_posts(rows)) == reference
-    assert list(group_posts(iter(rows))) == reference  # any iterable, read once
-    if not rows:
+def test_build_folksonomy_equals_the_dict_grouping(rows, rng):
+    if not rows:  # test_empty_input_raises
         return
+    reference = _reference_group_posts(rows)
+    vocab = _vocab_for(rows)
+    assert list(build_folksonomy(rows, vocab).posts) == reference
+    assert list(build_folksonomy(iter(rows), vocab).posts) == reference  # any iterable, read once
     shuffled = rows[:]
     rng.shuffle(shuffled)
-    vocab = _vocab_for(rows)
     built = build_folksonomy(shuffled, vocab)
     assert list(built.posts) == reference
-    assert built.fingerprint() == Folksonomy(reference, vocab).fingerprint()
+    assert built.fingerprint() == o_folksonomy(reference, vocab, [], [])["fingerprint"]
 
 
 def _answers(f, users, items):
@@ -195,10 +204,8 @@ def test_every_route_answers_as_the_layout_free_reference(rows, rng):
     shuffled = rows[:]
     rng.shuffle(shuffled)
     built = build_folksonomy(shuffled, vocab)
-    restored = Folksonomy(posts, vocab)
-    assert restored.posts == tuple(posts)
-    for f in (built, restored):
-        assert _answers(f, users, items) == o_folksonomy(posts, vocab, users, items)
+    assert built.posts == tuple(posts)
+    assert _answers(built, users, items) == o_folksonomy(posts, vocab, users, items)
     # the filters select posts from the columns
     taggers = Counter(p.item for p in posts)
     shared = [p for p in posts if taggers[p.item] > 1]

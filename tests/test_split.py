@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from folkrec.errors import ConfigError, EmptyDatasetError
-from folkrec.model import Folksonomy, Vocab
 from folkrec.split import chronological_split, write_split
 
 from conftest import folksonomy_from_rows, random_folksonomy
@@ -135,9 +134,9 @@ def test_bad_fraction_rejected(small_folksonomy):
             chronological_split(small_folksonomy, fraction)
 
 
-def test_empty_folksonomy_has_no_training_posts():
+def test_empty_folksonomy_has_no_training_posts(small_folksonomy):
     with pytest.raises(EmptyDatasetError, match="no training posts"):
-        chronological_split(Folksonomy([], Vocab()))
+        chronological_split(small_folksonomy.select([False] * len(small_folksonomy)))
 
 
 def test_write_split_outputs(tmp_path, small_folksonomy):
